@@ -164,11 +164,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                                  count_mode=args.count_mode)
     net = netbuild.cosine_weights(net)
     fmt = _format_from_out(args.out, args.format)
-    if fmt == "edgelist_csv":
-        text = netbuild.export_edgelist(net, header=not args.no_header)
-    else:
-        text = netbuild.export(net, fmt)
-    _write_text(args.out, text)
+    _write_text(args.out, netbuild.export(net, fmt, header=not args.no_header))
     _write_manifest(Path(args.out), "build", _options(args),
                     [Path(args.input)], [Path(args.out)])
     print(f"{net.specialty or args.specialty} {net.year}: "
@@ -201,8 +197,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats_list = []
     for path in args.input:
         net = _load_network(path, args.specialty, args.year)
-        stats_list.append(metrics.compute_stats(net, threads=args.threads,
-                                                fit_powerlaw=args.powerlaw))
+        stats_list.append(metrics.compute_stats(net, fit_powerlaw=args.powerlaw))
     if args.all_years:
         rows = metrics.read_stats_csv(
             metrics.stats_csv_text(stats_list, args.fixed_decimals).splitlines())
@@ -222,11 +217,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- regress
 
-def _fits_from_corpus(corp: corpus.Corpus, specialty: str | None) -> dict[str, lmm.LmmFit]:
-    baselines = impact.compute_baselines(corp)
-    scores, excluded = impact.attach_fwci(corp, baselines)
-    for rid, reason in excluded:
-        print(f"excluded {rid}: {reason}", file=sys.stderr)
+def _fits_from_corpus(corp: corpus.Corpus, scores: dict[str, float],
+                      specialty: str | None) -> dict[str, lmm.LmmFit]:
     fits: dict[str, lmm.LmmFit] = {}
     if specialty is not None:
         if specialty not in corp.specialty_labels:
@@ -257,10 +249,11 @@ def cmd_regress(args: argparse.Namespace) -> int:
         fits = {args.specialty or "model": lmm.fit(observations)}
     else:
         corp = corpus.Corpus.load(args.input)
-        fits = _fits_from_corpus(corp, args.specialty)
+        scores, excluded = impact.attach_fwci(corp, impact.compute_baselines(corp))
+        for rid, reason in excluded:
+            print(f"excluded {rid}: {reason}", file=sys.stderr)
+        fits = _fits_from_corpus(corp, scores, args.specialty)
         if args.observations_out:
-            baselines = impact.compute_baselines(corp)
-            scores, _ = impact.attach_fwci(corp, baselines)
             obs = impact.build_observations(list(corp), scores)
             impact.write_observations(obs, args.observations_out)
             outputs.append(Path(args.observations_out))
@@ -292,11 +285,7 @@ def cmd_trends(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     net = _load_network(args.input, args.specialty, args.year)
     fmt = _format_from_out(args.out, args.format)
-    if fmt == "edgelist_csv":
-        text = netbuild.export_edgelist(net, header=not args.no_header)
-    else:
-        text = netbuild.export(net, fmt)
-    _write_text(args.out, text)
+    _write_text(args.out, netbuild.export(net, fmt, header=not args.no_header))
     _write_manifest(Path(args.out), "export", _options(args),
                     [Path(args.input)], [Path(args.out)])
     return 0
@@ -346,7 +335,8 @@ def build_parser() -> Parser:
     p.add_argument("--out", required=True, help="stats CSV path, or - for stdout")
     p.add_argument("--specialty", help="label for a single unlabeled input")
     p.add_argument("--year", type=int, help="label for a single unlabeled input")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--fixed-decimals", action="store_true",
                    help="4-decimal fixed formatting for table reproduction")
     p.add_argument("--powerlaw", action="store_true",

@@ -8,7 +8,12 @@ density), brokerage concentration (betweenness centralization), cliquishness
 the degree distribution.
 
 Functions accept either a CollabNetwork or a plain adjacency mapping
-`{node: set-of-neighbors}`.
+`{node: set-of-neighbors}`. Every statistic comes from one dense 0/1
+adjacency matrix over the sorted node labels (a snapshot has at most one row
+per country, so dense is cheap) and from one level-synchronous BFS run from
+all sources at once: shortest-path counts plus one distance mask per level
+give components, diameter and Brandes betweenness as matrix products.
+Degrees are row sums and triangles the diagonal of A^3 halved.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -82,140 +85,135 @@ class PowerlawFit(NamedTuple):
     loglik: float
 
 
-def _adjacency(net) -> dict[str, set[str]]:
+def _matrix(net) -> tuple[list, np.ndarray]:
+    """Sorted node labels and the dense 0/1 adjacency matrix in that order."""
     if isinstance(net, CollabNetwork):
-        return net.adjacency()
-    return {v: set(nbrs) for v, nbrs in net.items()}
+        labels, pairs = sorted(net.nodes), list(net.edges)
+    else:
+        labels = sorted(net)
+        pairs = [(v, w) for v, nbrs in net.items() for w in nbrs]
+    index = {v: i for i, v in enumerate(labels)}
+    rows = [index[a] for a, _ in pairs]
+    cols = [index[b] for _, b in pairs]
+    A = np.zeros((len(labels), len(labels)))
+    A[rows, cols] = A[cols, rows] = 1.0
+    return labels, A
+
+
+def _levels(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Level-synchronous BFS from every source at once.
+
+    Returns sigma, where sigma[s, v] counts the shortest s-v paths (1 on the
+    diagonal, 0 when v is unreachable from s), and one boolean mask per
+    distance: levels[d][s, v] is True when v lies d steps from s.
+    """
+    sigma = np.eye(len(A))
+    levels = [np.eye(len(A), dtype=bool)]
+    while True:
+        reach = (sigma * levels[-1]) @ A
+        new = (reach > 0) & (sigma == 0)
+        if not new.any():
+            return sigma, levels
+        sigma[new] = reach[new]
+        levels.append(new)
+
+
+def _degree_stats(labels: list, A: np.ndarray) -> tuple[dict, float, float]:
+    n = len(labels)
+    if n < 2:
+        raise ValueError("degenerate network: need at least 2 nodes")
+    degrees = A.sum(axis=1).astype(np.int64).tolist()
+    n_edges = sum(degrees) // 2
+    return dict(zip(labels, degrees)), 2 * n_edges / n, 2 * n_edges / (n * (n - 1))
+
+
+def _components(sigma: np.ndarray) -> list[np.ndarray]:
+    """Member indices per component, largest first, ties by smallest member."""
+    reach = sigma > 0
+    roots, sizes = np.unique(reach.argmax(axis=1), return_counts=True)
+    return [np.flatnonzero(reach[r]) for _, r in sorted(zip(-sizes, roots))]
+
+
+def _diameter(sigma: np.ndarray, levels: list[np.ndarray]) -> DiameterInfo:
+    if len(levels) == 1:
+        raise ValueError("no paths: network has no edges")
+    comps = _components(sigma)
+    eccentricity = sum(level.any(axis=1) for level in levels[1:])
+    return DiameterInfo(steps=int(eccentricity[comps[0]].max()),
+                        component_size=len(comps[0]), n_components=len(comps))
+
+
+def _betweenness(A: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+    """Brandes (2001) dependency accumulation, level by level for all sources."""
+    delta = np.zeros_like(sigma)
+    for d in range(len(levels) - 2, 0, -1):
+        share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d + 1])
+        delta += np.where(levels[d], sigma * (share @ A), 0.0)
+    return delta.sum(axis=0) / 2.0
+
+
+def _centralization(A: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray]) -> float:
+    n = len(A)
+    if n < 3:
+        raise ValueError("centralization undefined: need at least 3 nodes")
+    bc = _betweenness(A, sigma, levels)
+    return float((bc.max() - bc).sum()) / ((n - 1) ** 2 * (n - 2) / 2.0)
+
+
+def _triangles(A: np.ndarray) -> np.ndarray:
+    return ((A @ A) * A).sum(axis=1).astype(np.int64) // 2
+
+
+def _clustering(A: np.ndarray) -> tuple[float, float]:
+    n = len(A)
+    if n < 3:
+        raise ValueError("clustering undefined: need at least 3 nodes")
+    tri = _triangles(A)
+    degrees = A.sum(axis=1).astype(np.int64)
+    wedges = degrees * (degrees - 1) // 2
+    triples = int(wedges.sum())
+    transitivity = int(tri.sum()) / triples if triples else 0.0
+    local = np.divide(tri, wedges, out=np.zeros(n), where=wedges > 0)
+    return transitivity, float(local.sum()) / n
 
 
 def degree_stats(net) -> tuple[dict[str, int], float, float]:
     """Per-node degree, average degree 2E/N, density 2E/(N(N-1))."""
-    adj = _adjacency(net)
-    n = len(adj)
-    if n < 2:
-        raise ValueError("degenerate network: need at least 2 nodes")
-    degrees = {v: len(nbrs) for v, nbrs in adj.items()}
-    n_edges = sum(degrees.values()) // 2
-    return degrees, 2 * n_edges / n, 2 * n_edges / (n * (n - 1))
+    return _degree_stats(*_matrix(net))
 
 
 def connected_components(net) -> list[set[str]]:
     """Components sorted by decreasing size, ties by smallest member."""
-    adj = _adjacency(net)
-    seen: set[str] = set()
-    comps: list[set[str]] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
-
-
-def _bfs_distances(adj: dict[str, set[str]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+    labels, A = _matrix(net)
+    sigma, _ = _levels(A)
+    return [{labels[i] for i in comp} for comp in _components(sigma)]
 
 
 def diameter(net) -> DiameterInfo:
     """Longest shortest path (in steps) over the largest connected component."""
-    adj = _adjacency(net)
-    if not any(adj.values()):
-        raise ValueError("no paths: network has no edges")
-    comps = connected_components(adj)
-    largest = comps[0]
-    sub = {v: adj[v] & largest for v in largest}
-    ecc = 0
-    for v in sub:
-        dist = _bfs_distances(sub, v)
-        ecc = max(ecc, max(dist.values()))
-    return DiameterInfo(steps=ecc, component_size=len(largest), n_components=len(comps))
+    return _diameter(*_levels(_matrix(net)[1]))
 
 
-def _brandes_source(adj: dict[str, set[str]], order: list[str], source: str) -> dict[str, float]:
-    """Dependency accumulation for one source (Brandes)."""
-    sigma = {v: 0 for v in order}
-    dist = {v: -1 for v in order}
-    preds: dict[str, list[str]] = {v: [] for v in order}
-    sigma[source] = 1
-    dist[source] = 0
-    stack: list[str] = []
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        stack.append(v)
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    delta = {v: 0.0 for v in order}
-    while stack:
-        w = stack.pop()
-        for v in preds[w]:
-            delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-    delta[source] = 0.0
-    return delta
-
-
-def betweenness_centrality(net, threads: int = 1) -> dict[str, float]:
+def betweenness_centrality(net) -> dict[str, float]:
     """Raw betweenness per node, each unordered pair counted once.
 
-    Shortest-path ties are split evenly. Parallelism over source vertices
-    uses an ordered reduction, so results are identical for any thread count.
+    Shortest-path ties are split evenly.
     """
-    adj = _adjacency(net)
-    order = sorted(adj)
-    bc = {v: 0.0 for v in order}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            contribs = pool.map(lambda s: _brandes_source(adj, order, s), order)
-            for delta in contribs:  # map preserves source order
-                for v in order:
-                    bc[v] += delta[v]
-    else:
-        for s in order:
-            delta = _brandes_source(adj, order, s)
-            for v in order:
-                bc[v] += delta[v]
-    return {v: bc[v] / 2.0 for v in order}
+    labels, A = _matrix(net)
+    return dict(zip(labels, _betweenness(A, *_levels(A)).tolist()))
 
 
-def betweenness_centralization(net, threads: int = 1) -> float:
+def betweenness_centralization(net) -> float:
     """Freeman centralization of betweenness: 1.0 for a star, 0.0 when all
     nodes broker equally (any vertex-transitive graph)."""
-    adj = _adjacency(net)
-    n = len(adj)
-    if n < 3:
-        raise ValueError("centralization undefined: need at least 3 nodes")
-    bc = betweenness_centrality(adj, threads=threads)
-    b_max = max(bc.values())
-    denom = (n - 1) ** 2 * (n - 2) / 2.0
-    return sum(b_max - b for b in bc.values()) / denom
+    _, A = _matrix(net)
+    return _centralization(A, *_levels(A))
 
 
 def triangle_counts(net) -> dict[str, int]:
     """Triangles incident to each node."""
-    adj = _adjacency(net)
-    return {v: sum(len(adj[v] & adj[w]) for w in adj[v]) // 2 for v in adj}
+    labels, A = _matrix(net)
+    return dict(zip(labels, _triangles(A).tolist()))
 
 
 def clustering(net) -> tuple[float, float]:
@@ -224,20 +222,7 @@ def clustering(net) -> tuple[float, float]:
     Transitivity is 3*triangles / connected triples. The local average
     includes every node, with degree < 2 contributing zero.
     """
-    adj = _adjacency(net)
-    if len(adj) < 3:
-        raise ValueError("clustering undefined: need at least 3 nodes")
-    tri = triangle_counts(adj)
-    triples = 0
-    local_sum = 0.0
-    for v, nbrs in adj.items():
-        d = len(nbrs)
-        wedges = d * (d - 1) // 2
-        triples += wedges
-        if wedges:
-            local_sum += tri[v] / wedges
-    transitivity = (sum(tri.values()) / triples) if triples else 0.0
-    return transitivity, local_sum / len(adj)
+    return _clustering(_matrix(net)[1])
 
 
 def _log_zeta_deriv(alpha: float, h: float = 1e-5) -> float:
@@ -273,13 +258,14 @@ def powerlaw_fit(degrees: Iterable[int]) -> PowerlawFit:
     return PowerlawFit(alpha=alpha, loglik=loglik)
 
 
-def compute_stats(net: CollabNetwork, threads: int = 1,
-                  fit_powerlaw: bool = False) -> NetworkStats:
+def compute_stats(net: CollabNetwork, fit_powerlaw: bool = False) -> NetworkStats:
     """Run the full battery on one network snapshot."""
-    degrees, avg_degree, density = degree_stats(net)
-    diam = diameter(net)
-    centralization = betweenness_centralization(net, threads=threads)
-    transitivity, avg_local = clustering(net)
+    labels, A = _matrix(net)
+    degrees, avg_degree, density = _degree_stats(labels, A)
+    sigma, levels = _levels(A)
+    diam = _diameter(sigma, levels)
+    centralization = _centralization(A, sigma, levels)
+    transitivity, avg_local = _clustering(A)
     alpha: float | None = None
     if fit_powerlaw:
         try:
@@ -318,15 +304,6 @@ def stats_row(stats: NetworkStats, fixed_decimals: bool = False) -> list[str]:
         stats.avg_local_clustering, stats.n_components, stats.powerlaw_alpha,
     ]
     return [_fmt(v, fixed_decimals) for v in values]
-
-
-def write_stats_csv(stats_list: Iterable[NetworkStats], path: str | Path,
-                    fixed_decimals: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STATS_COLUMNS)
-        for s in stats_list:
-            writer.writerow(stats_row(s, fixed_decimals))
 
 
 def stats_csv_text(stats_list: Iterable[NetworkStats], fixed_decimals: bool = False) -> str:

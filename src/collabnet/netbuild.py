@@ -64,13 +64,6 @@ class CollabNetwork:
         factor = 2 if self.count_mode == "arcs" else 1
         return factor * len(self.edges)
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
     def degree(self, node: str) -> int:
         return sum(1 for a, b in self.edges if a == node or b == node)
 
@@ -232,36 +225,54 @@ def export_graphml(net: CollabNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(net: CollabNetwork, fmt: str) -> str:
-    """Serialize a network. Output is deterministic for a given network."""
+def export(net: CollabNetwork, fmt: str, header: bool = True) -> str:
+    """Serialize a network. Output is deterministic for a given network.
+
+    `header` applies to the edge-list CSV only.
+    """
     if fmt == "graphml":
         return export_graphml(net)
     if fmt == "dot":
         return export_dot(net)
     if fmt in ("edgelist_csv", "csv"):
-        return export_edgelist(net)
+        return export_edgelist(net, header=header)
     raise ValueError(f"unknown format {fmt!r}; supported: {', '.join(EXPORT_FORMATS)}")
+
+
+def _new_edge_key(edges: dict, where: str, a: str, b: str) -> tuple[str, str]:
+    """Key of an edge not yet in `edges`; self-loops and repeated pairs are errors."""
+    if a == b:
+        raise ValueError(f"{where}: self-loop {a}-{b}")
+    key = _edge_key(a, b)
+    if key in edges:
+        raise ValueError(f"{where}: duplicate pair {key[0]}-{key[1]}")
+    return key
 
 
 def read_edgelist(source: str | Path | Iterable[str], specialty: str = "",
                   year: int = 0) -> CollabNetwork:
-    """Read an edge list CSV back into a network (nodes = edge endpoints)."""
+    """Read an edge list CSV back into a network (nodes = edge endpoints).
+
+    A self-loop or a pair listed twice (in either direction) is a
+    ValueError naming the line.
+    """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     else:
         rows = list(csv.reader(source))
+    first_line = 1
     if rows and rows[0][:2] == ["source", "target"]:
-        rows = rows[1:]
+        rows, first_line = rows[1:], 2
     edges: dict[tuple[str, str], Edge] = {}
     strength: dict[str, int] = {}
-    for row in rows:
+    for lineno, row in enumerate(rows, start=first_line):
         if not row or not "".join(row).strip():
             continue
         a, b = row[0], row[1]
         count = int(row[2]) if len(row) > 2 and row[2] != "" else 1
         cos = float(row[3]) if len(row) > 3 and row[3] != "" else None
-        key = _edge_key(a, b)
+        key = _new_edge_key(edges, f"line {lineno}", a, b)
         edges[key] = Edge(copub_count=count, cosine=cos)
         strength[a] = strength.get(a, 0) + count
         strength[b] = strength.get(b, 0) + count
@@ -275,7 +286,11 @@ _GML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
 
 def read_graphml(source: str | Path) -> CollabNetwork:
-    """Read a network exported by `export_graphml`."""
+    """Read a network exported by `export_graphml`.
+
+    A self-loop or a repeated pair is a ValueError naming the 1-based
+    `<edge>` index.
+    """
     if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("<")):
         tree = ElementTree.parse(source)
         root = tree.getroot()
@@ -293,7 +308,7 @@ def read_graphml(source: str | Path) -> CollabNetwork:
     nodes = tuple(sorted(n.get("id") for n in graph.findall(f"{_GML_NS}node")))
     edges: dict[tuple[str, str], Edge] = {}
     strength: dict[str, int] = {}
-    for el in graph.findall(f"{_GML_NS}edge"):
+    for i, el in enumerate(graph.findall(f"{_GML_NS}edge"), start=1):
         a, b = el.get("source"), el.get("target")
         count, cos = 1, None
         for data in el.findall(f"{_GML_NS}data"):
@@ -301,7 +316,8 @@ def read_graphml(source: str | Path) -> CollabNetwork:
                 count = int(data.text)
             elif data.get("key") == "cosine":
                 cos = float(data.text)
-        edges[_edge_key(a, b)] = Edge(copub_count=count, cosine=cos)
+        key = _new_edge_key(edges, f"<edge> {i}", a, b)
+        edges[key] = Edge(copub_count=count, cosine=cos)
         strength[a] = strength.get(a, 0) + count
         strength[b] = strength.get(b, 0) + count
     return CollabNetwork(specialty=specialty, year=year, nodes=nodes,

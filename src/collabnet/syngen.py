@@ -210,11 +210,6 @@ def truth_csv(truth: Iterable[TruthRow]) -> str:
     return out.getvalue()
 
 
-def write_truth(truth: Iterable[TruthRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(truth_csv(truth))
-
-
 def specialty_map_for(config: GenConfig) -> SpecialtyMap:
     """Map each generated journal name to its field label."""
     fields = sorted({f_name for (f_name, _, _) in config.citation_model.means})

@@ -61,6 +61,17 @@ def test_validation_error_exits_one(workdir):
                "--year", "2013", "--out", "x.csv") == 1
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("US,US\nUS,DE\nDE,FR\nFR,GB\n", "line 1: self-loop US-US"),
+    ("US,DE,2\nDE,US,5\n", "line 2: duplicate pair DE-US"),
+])
+def test_non_simple_edgelist_exits_one(workdir, capsys, rows, message):
+    (workdir / "bad.csv").write_text(rows)
+    assert run("stats", "--input", "bad.csv", "--out", "stats.csv") == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir / "stats.csv").exists()
+
+
 def test_every_output_has_a_manifest(workdir):
     gen_corpus(workdir)
     for out in ("raw.jsonl", "corpus.jsonl"):

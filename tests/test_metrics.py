@@ -1,5 +1,11 @@
+from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import zipf
 
 import _oracles as oracles
@@ -17,7 +23,7 @@ from collabnet.metrics import (
     read_stats_csv,
     stats_csv_text,
 )
-from collabnet.netbuild import build_network, network_of_size
+from collabnet.netbuild import CollabNetwork, Edge, build_network, network_of_size
 from collabnet.syngen import records_jsonl, specialty_map_for
 
 
@@ -129,11 +135,66 @@ def test_brandes_matches_enumeration_oracle_small_graphs():
             oracles.oracle_centralization(adj), abs=1e-9)
 
 
-def test_betweenness_thread_count_does_not_change_results():
-    rng = np.random.default_rng(4)
-    adj = oracles.random_connected_graph(rng, 40, extra=0.1)
-    assert betweenness_centrality(adj, threads=1) == betweenness_centrality(adj, threads=8)
-    assert betweenness_centralization(adj, threads=1) == betweenness_centralization(adj, threads=8)
+@st.composite
+def small_graphs(draw):
+    """A graph on 3-9 nodes with at least one edge, as an int-keyed mapping."""
+    n = draw(st.integers(3, 9))
+    pairs = list(combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+                   .filter(any))
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for (a, b), keep in zip(pairs, present):
+        if keep:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def as_network(adj, name=str) -> CollabNetwork:
+    edges = {tuple(sorted((name(a), name(b)))): Edge(1)
+             for a, nbrs in adj.items() for b in nbrs if a < b}
+    nodes = tuple(sorted(name(v) for v in adj))
+    return CollabNetwork(specialty="", year=0, nodes=nodes, edges=edges,
+                         node_strength={v: 0 for v in nodes}, isolate_policy="keep")
+
+
+def local_clustering_oracle(adj) -> Fraction:
+    total = Fraction(0)
+    for v, nbrs in adj.items():
+        pairs = list(combinations(sorted(nbrs), 2))
+        if pairs:
+            total += Fraction(sum(b in adj[a] for a, b in pairs), len(pairs))
+    return total / len(adj)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.data())
+def test_battery_matches_oracles_relabeling_and_repeats(adj, data):
+    stats = compute_stats(as_network(adj))
+    dist, _ = oracles.floyd_warshall(adj)
+    assert stats.diameter == oracles.oracle_diameter(adj)
+    assert stats.n_components == len({tuple(np.isfinite(row)) for row in dist})
+    assert stats.betweenness_centralization == pytest.approx(
+        oracles.oracle_centralization(adj), abs=1e-9)
+    want_bc = oracles.oracle_betweenness(adj)
+    for v, got in betweenness_centrality(adj).items():
+        assert got == pytest.approx(want_bc[v], abs=1e-9)
+    assert stats.transitivity == pytest.approx(float(oracles.oracle_transitivity(adj)), abs=1e-12)
+    assert stats.avg_local_clustering == pytest.approx(
+        float(local_clustering_oracle(adj)), abs=1e-12)
+
+    perm = data.draw(st.permutations(range(len(adj))))
+    relabeled = compute_stats(as_network(adj, name=lambda v: f"N{perm[v]}"))
+    for field in ("n_nodes", "n_edges", "diameter", "n_components"):
+        assert getattr(relabeled, field) == getattr(stats, field)
+    for field in ("avg_degree", "density", "betweenness_centralization",
+                  "transitivity", "avg_local_clustering"):
+        assert getattr(relabeled, field) == pytest.approx(getattr(stats, field), abs=1e-12)
+
+    net = as_network(adj)
+    assert compute_stats(net) == stats
+    # bit-identical whatever order the edges (or set-based adjacency) arrive in
+    assert compute_stats(replace(net, edges=dict(reversed(net.edges.items())))) == stats
 
 
 # --------------------------------------------------------------- clustering

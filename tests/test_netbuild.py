@@ -206,3 +206,28 @@ def test_network_of_size_has_exact_counts():
         assert net.n_edges == e
     with pytest.raises(ValueError, match="do not fit"):
         network_of_size(4, 7)
+
+
+@pytest.mark.parametrize("text,message", [
+    # self-loop next to the path US-DE-FR-GB
+    ("source,target\nUS,US\nUS,DE\nDE,FR\nFR,GB\n", "line 2: self-loop US-US"),
+    # the same pair twice, once in each direction
+    ("US,DE,2\nDE,FR,1\nDE,US,5\n", "line 3: duplicate pair DE-US"),
+])
+def test_edgelist_rejects_non_simple_graphs(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_edgelist(text.splitlines())
+
+
+@pytest.mark.parametrize("ends,message", [
+    ([("US", "DE"), ("FR", "FR")], "<edge> 2: self-loop FR-FR"),
+    ([("US", "DE"), ("DE", "FR"), ("DE", "US")], "<edge> 3: duplicate pair DE-US"),
+])
+def test_graphml_rejects_non_simple_graphs(ends, message):
+    text = ('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+            '<graph id="collab" edgedefault="undirected">'
+            + "".join(f'<node id="{v}"/>' for v in ("DE", "FR", "US"))
+            + "".join(f'<edge source="{a}" target="{b}"/>' for a, b in ends)
+            + "</graph></graphml>")
+    with pytest.raises(ValueError, match=message):
+        read_graphml(text)
