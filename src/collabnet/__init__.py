@@ -6,36 +6,11 @@ score citation impact against field baselines, fit random-intercept mixed
 models over country-combination observations, and summarize growth and
 convergence across years. A seeded synthetic-corpus generator provides
 ground-truth data for testing.
+
+The package exposes its modules, not their functions
+(`from collabnet import metrics`), and importing it loads none of them, so
+each command pays only for the modules it runs: numpy and scipy are loaded
+by `gen`, `stats` and `regress` alone.
 """
 
 __version__ = "0.1.0"
-
-from .corpus import (  # noqa: F401
-    Corpus,
-    PublicationRecord,
-    SpecialtyMap,
-    filter_records,
-    ingest,
-)
-from .impact import (  # noqa: F401
-    Baselines,
-    ComboObservation,
-    attach_fwci,
-    build_observations,
-    compute_baselines,
-    fwci,
-)
-from .lmm import LmmFit, LmmSpec, fit, fit_random_intercept, predict, report  # noqa: F401
-from .longit import TrendPoint, TrendSeries, convergence, growth  # noqa: F401
-from .metrics import (  # noqa: F401
-    NetworkStats,
-    betweenness_centrality,
-    betweenness_centralization,
-    clustering,
-    compute_stats,
-    degree_stats,
-    diameter,
-    powerlaw_fit,
-)
-from .netbuild import CollabNetwork, build_network, cosine_weights, export  # noqa: F401
-from .syngen import GenConfig, generate  # noqa: F401

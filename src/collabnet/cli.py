@@ -20,7 +20,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, corpus, impact, lmm, longit, metrics, netbuild, syngen
+# Standard library only; syngen, metrics and lmm load numpy/scipy, so the
+# commands that use them import them.
+from . import __version__, corpus, impact, longit, netbuild
 
 
 class CliError(ValueError):
@@ -72,6 +74,8 @@ def _write_text(path: str, text: str) -> Path:
 # ---------------------------------------------------------------- gen
 
 def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
+    from . import syngen
+
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -103,6 +107,8 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from . import syngen
+
     cfg = _gen_config(args)
     records, truth = syngen.generate(cfg)
     text = syngen.records_jsonl(records)
@@ -192,6 +198,8 @@ def _load_network(path: str, specialty: str | None, year: int | None) -> netbuil
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import metrics
+
     if (args.specialty is not None or args.year is not None) and len(args.input) > 1:
         raise CliError("--specialty/--year label a single --input network")
     stats_list = []
@@ -219,6 +227,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _fits_from_corpus(corp: corpus.Corpus, scores: dict[str, float],
                       specialty: str | None) -> dict[str, lmm.LmmFit]:
+    from . import lmm
+
     fits: dict[str, lmm.LmmFit] = {}
     if specialty is not None:
         if specialty not in corp.specialty_labels:
@@ -241,6 +251,8 @@ def _fits_from_corpus(corp: corpus.Corpus, scores: dict[str, float],
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
+    from . import lmm
+
     outputs: list[Path] = []
     if args.input.endswith(".csv"):
         if args.observations_out:
@@ -268,7 +280,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- trends
 
 def cmd_trends(args: argparse.Namespace) -> int:
-    rows = metrics.read_stats_csv(args.input)
+    rows = longit.read_stats_csv(args.input)
     series = longit.series_from_stats(rows)
     text = longit.format_change_table(series) if args.table2 else longit.trends_csv(series)
     if args.out == "-":

@@ -27,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.optimize import minimize_scalar
-from scipy.stats import norm
 
 INTERCEPT = "intercept"
 
@@ -134,6 +131,8 @@ def profile_deviance(y, X, groups, psi: float) -> float:
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
+    from scipy.linalg import qr
+
     _, R, piv = qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
@@ -153,6 +152,8 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None,
     psi = 0 is always considered, so data without group structure yield the
     ordinary least-squares solution exactly.
     """
+    from scipy.optimize import minimize_scalar
+
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or y.shape[0] != X.shape[0] or len(groups) != X.shape[0]:
@@ -246,10 +247,16 @@ def predict(fit_: LmmFit, ob) -> float:
 
 
 def p_value(estimate: float, se: float) -> float:
-    """Two-sided normal-approximation p-value."""
+    """Two-sided normal-approximation p-value.
+
+    ndtr(-z) is what scipy.stats.norm.sf(z) evaluates, bit for bit, without
+    importing scipy.stats; math.erfc(z / sqrt(2)) differs in the last bits.
+    """
+    from scipy.special import ndtr
+
     if se <= 0:
         return math.nan
-    return 2.0 * float(norm.sf(abs(estimate) / se))
+    return 2.0 * float(ndtr(-(abs(estimate) / se)))
 
 
 def stars(p: float) -> str:

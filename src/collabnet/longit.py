@@ -5,6 +5,9 @@ count, edge growth as a percentage, diameter as a direction). Convergence
 curves express each year's node count as a share of the final-year count,
 per specialty plus a pooled mean curve; shares may exceed 1 when a field
 shrinks, which is flagged rather than forbidden.
+
+The stats CSV reader lives here, beside its consumer, so reading a stats
+file needs neither numpy nor scipy; `metrics` re-exports it.
 """
 
 from __future__ import annotations
@@ -115,6 +118,27 @@ def convergence(series_list: Sequence[TrendSeries]) -> ConvergenceResult:
     return ConvergenceResult(years=years, node_shares=node_shares,
                              edge_shares=edge_shares, pooled_node_share=pooled,
                              non_monotone=frozenset(flagged))
+
+
+def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
+    """Read stats rows back as dicts; blank cells become None."""
+    if isinstance(source, (str, Path)):
+        with open(source, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    else:
+        rows = list(csv.DictReader(source))
+    out = []
+    for row in rows:
+        parsed: dict = {"specialty": row.get("specialty", "")}
+        for col in ("year", "nodes", "edges", "diameter", "components"):
+            raw = row.get(col)
+            parsed[col] = int(raw) if raw not in (None, "") else None
+        for col in ("avg_degree", "density", "betweenness_centralization",
+                    "transitivity", "avg_local_clustering", "alpha"):
+            raw = row.get(col)
+            parsed[col] = float(raw) if raw not in (None, "") else None
+        out.append(parsed)
+    return out
 
 
 def series_from_stats(rows: Iterable[dict]) -> list[TrendSeries]:

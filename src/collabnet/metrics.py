@@ -23,13 +23,11 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import zeta
 
+from .longit import read_stats_csv  # noqa: F401  (the reader of stats_csv_text output)
 from .netbuild import CollabNetwork
 
 STATS_COLUMNS = (
@@ -225,16 +223,15 @@ def clustering(net) -> tuple[float, float]:
     return _clustering(_matrix(net)[1])
 
 
-def _log_zeta_deriv(alpha: float, h: float = 1e-5) -> float:
-    return (math.log(zeta(alpha + h, 1)) - math.log(zeta(alpha - h, 1))) / (2 * h)
-
-
 def powerlaw_fit(degrees: Iterable[int]) -> PowerlawFit:
     """Discrete maximum-likelihood exponent for P(k) ~ k^-alpha, k_min = 1.
 
     Solves d/d(alpha) of the zeta log-likelihood for the root; requires a
     spread-out positive degree sequence (at least 10 distinct values).
     """
+    from scipy.optimize import brentq
+    from scipy.special import zeta
+
     ks = np.asarray(list(degrees), dtype=np.int64)
     if ks.size == 0 or np.any(ks < 1):
         raise ValueError("degrees must be positive integers")
@@ -245,8 +242,11 @@ def powerlaw_fit(degrees: Iterable[int]) -> PowerlawFit:
         raise ValueError(f"no power-law support: only {distinct.size} distinct degrees")
     mean_log = float(np.mean(np.log(ks)))
 
+    h = 1e-5
+
     def score(alpha: float) -> float:
-        return -_log_zeta_deriv(alpha) - mean_log
+        log_zeta_deriv = (math.log(zeta(alpha + h, 1)) - math.log(zeta(alpha - h, 1))) / (2 * h)
+        return -log_zeta_deriv - mean_log
 
     lo, hi = 1.0001, 10.0
     while score(hi) > 0:
@@ -319,27 +319,6 @@ def stats_json_text(stats_list: Iterable[NetworkStats]) -> str:
     """One JSON object per line, keys matching the CSV columns."""
     return "".join(json.dumps(s.to_json_obj(), sort_keys=True) + "\n"
                    for s in stats_list)
-
-
-def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
-    """Read stats rows back as dicts; blank cells become None."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        rows = list(csv.DictReader(source))
-    out = []
-    for row in rows:
-        parsed: dict = {"specialty": row.get("specialty", "")}
-        for col in ("year", "nodes", "edges", "diameter", "components"):
-            raw = row.get(col)
-            parsed[col] = int(raw) if raw not in (None, "") else None
-        for col in ("avg_degree", "density", "betweenness_centralization",
-                    "transitivity", "avg_local_clustering", "alpha"):
-            raw = row.get(col)
-            parsed[col] = float(raw) if raw not in (None, "") else None
-        out.append(parsed)
-    return out
 
 
 GRID_MEASURES = (

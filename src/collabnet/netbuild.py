@@ -16,7 +16,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 from xml.etree import ElementTree
-from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import PublicationRecord
 from .countries import sorted_codes
@@ -63,9 +62,6 @@ class CollabNetwork:
         """
         factor = 2 if self.count_mode == "arcs" else 1
         return factor * len(self.edges)
-
-    def degree(self, node: str) -> int:
-        return sum(1 for a, b in self.edges if a == node or b == node)
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
@@ -188,6 +184,8 @@ def export_edgelist(net: CollabNetwork, header: bool = True) -> str:
 
 
 def export_dot(net: CollabNetwork) -> str:
+    from xml.sax.saxutils import quoteattr  # loads urllib.request: keep off `build` CSV
+
     lines = [f"graph {quoteattr(net.specialty or 'collab')} {{"]
     for v in net.nodes:
         lines.append(f'  "{v}";')
@@ -201,6 +199,8 @@ def export_dot(net: CollabNetwork) -> str:
 
 
 def export_graphml(net: CollabNetwork) -> str:
+    from xml.sax.saxutils import escape, quoteattr
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -239,6 +239,17 @@ def export(net: CollabNetwork, fmt: str, header: bool = True) -> str:
     raise ValueError(f"unknown format {fmt!r}; supported: {', '.join(EXPORT_FORMATS)}")
 
 
+def _copub_count(where: str, text: str) -> int:
+    """A co-publication count: a positive integer."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise ValueError(f"{where}: copub_count {text!r} is not an integer") from None
+    if count < 1:
+        raise ValueError(f"{where}: copub_count must be positive, got {count}")
+    return count
+
+
 def _new_edge_key(edges: dict, where: str, a: str, b: str) -> tuple[str, str]:
     """Key of an edge not yet in `edges`; self-loops and repeated pairs are errors."""
     if a == b:
@@ -253,7 +264,8 @@ def read_edgelist(source: str | Path | Iterable[str], specialty: str = "",
                   year: int = 0) -> CollabNetwork:
     """Read an edge list CSV back into a network (nodes = edge endpoints).
 
-    A self-loop or a pair listed twice (in either direction) is a
+    A row with fewer than two columns, a count that is not a positive
+    integer, a self-loop or a pair listed twice (in either direction) is a
     ValueError naming the line.
     """
     if isinstance(source, (str, Path)):
@@ -269,10 +281,14 @@ def read_edgelist(source: str | Path | Iterable[str], specialty: str = "",
     for lineno, row in enumerate(rows, start=first_line):
         if not row or not "".join(row).strip():
             continue
+        where = f"line {lineno}"
+        if len(row) < 2:
+            raise ValueError(f"{where}: expected at least 2 columns "
+                             f"(source,target), got {len(row)}")
         a, b = row[0], row[1]
-        count = int(row[2]) if len(row) > 2 and row[2] != "" else 1
+        count = _copub_count(where, row[2]) if len(row) > 2 and row[2] != "" else 1
         cos = float(row[3]) if len(row) > 3 and row[3] != "" else None
-        key = _new_edge_key(edges, f"line {lineno}", a, b)
+        key = _new_edge_key(edges, where, a, b)
         edges[key] = Edge(copub_count=count, cosine=cos)
         strength[a] = strength.get(a, 0) + count
         strength[b] = strength.get(b, 0) + count
@@ -288,8 +304,8 @@ _GML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 def read_graphml(source: str | Path) -> CollabNetwork:
     """Read a network exported by `export_graphml`.
 
-    A self-loop or a repeated pair is a ValueError naming the 1-based
-    `<edge>` index.
+    A count that is not a positive integer, a self-loop or a repeated pair
+    is a ValueError naming the 1-based `<edge>` index.
     """
     if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("<")):
         tree = ElementTree.parse(source)
@@ -309,14 +325,15 @@ def read_graphml(source: str | Path) -> CollabNetwork:
     edges: dict[tuple[str, str], Edge] = {}
     strength: dict[str, int] = {}
     for i, el in enumerate(graph.findall(f"{_GML_NS}edge"), start=1):
+        where = f"<edge> {i}"
         a, b = el.get("source"), el.get("target")
         count, cos = 1, None
         for data in el.findall(f"{_GML_NS}data"):
             if data.get("key") == "copub_count":
-                count = int(data.text)
+                count = _copub_count(where, data.text or "")
             elif data.get("key") == "cosine":
                 cos = float(data.text)
-        key = _new_edge_key(edges, f"<edge> {i}", a, b)
+        key = _new_edge_key(edges, where, a, b)
         edges[key] = Edge(copub_count=count, cosine=cos)
         strength[a] = strength.get(a, 0) + count
         strength[b] = strength.get(b, 0) + count

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import collabnet
 from collabnet.cli import main
 from collabnet.metrics import read_stats_csv
 
@@ -64,6 +68,9 @@ def test_validation_error_exits_one(workdir):
 @pytest.mark.parametrize("rows,message", [
     ("US,US\nUS,DE\nDE,FR\nFR,GB\n", "line 1: self-loop US-US"),
     ("US,DE,2\nDE,US,5\n", "line 2: duplicate pair DE-US"),
+    ("US\n", "line 1: expected at least 2 columns"),
+    ("US,DE,x\n", "line 1: copub_count 'x' is not an integer"),
+    ("US,DE,-3\nDE,FR,1\nFR,GB,1\n", "line 1: copub_count must be positive, got -3"),
 ])
 def test_non_simple_edgelist_exits_one(workdir, capsys, rows, message):
     (workdir / "bad.csv").write_text(rows)
@@ -196,3 +203,44 @@ def test_build_no_header_flag(workdir):
                "--year", "2013", "--no-header", "--out", "bare.csv") == 0
     first = (workdir / "bare.csv").read_text().splitlines()[0]
     assert not first.startswith("source,target")
+
+
+# Run in a fresh interpreter: which numpy/scipy modules each step has loaded.
+IMPORT_PROBE = """
+import json, sys
+
+def heavy():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+
+import collabnet.cli
+out = {"import": heavy()}
+out["light_exits"] = [collabnet.cli.main(argv) for argv in (
+    ["ingest", "--input", "raw.jsonl", "--map", "map.csv", "--out", "fresh.jsonl"],
+    ["build", "--input", "fresh.jsonl", "--specialty", "Virology", "--year", "2013",
+     "--out", "fresh.csv"],
+    ["trends", "--input", "stats.csv", "--out", "trends.csv"],
+)]
+out["light"] = heavy()
+out["heavy_exits"] = [collabnet.cli.main(argv) for argv in (
+    ["stats", "--input", "fresh.csv", "--powerlaw", "--out", "fresh-stats.csv"],
+    ["regress", "--input", "fresh.jsonl", "--out", "report.txt"],
+)]
+print(json.dumps(out))
+"""
+
+
+def test_light_commands_load_no_numpy_or_scipy(workdir):
+    gen_corpus(workdir, n_papers=300)
+    for year in ("2008", "2013"):
+        assert run("build", "--input", "corpus.jsonl", "--specialty", "Virology",
+                   "--year", year, "--out", f"Virology-{year}.csv") == 0
+    assert run("stats", "--input", "Virology-2008.csv", "Virology-2013.csv",
+               "--out", "stats.csv") == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(collabnet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=workdir, env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["import"] == []
+    assert out["light_exits"] == [0, 0, 0]
+    assert out["light"] == []
+    assert out["heavy_exits"] == [0, 0]

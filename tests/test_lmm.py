@@ -269,6 +269,21 @@ def test_no_stars_for_weak_effects():
     assert stars(p_value(1.28, 1.0)) == ""
 
 
+def test_p_value_is_bit_identical_to_norm_sf():
+    # z on both sides of 1 (ndtr switches between erf and erfc there), 0,
+    # deep in the tail, and infinite
+    z = np.concatenate([np.linspace(0.0, 3.0, 601), np.geomspace(1e-12, 60.0, 400),
+                        [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                         40.0, 1e6, math.inf]])
+    for se in (1.0, 0.3, 2.5e-3):
+        for e in np.concatenate([z * se, -z * se]).tolist():
+            assert p_value(e, se) == 2.0 * float(norm.sf(abs(e) / se))
+    assert p_value(0.0, 1.0) == 1.0
+    assert p_value(math.inf, 1.0) == 0.0
+    assert math.isnan(p_value(1.0, 0.0))
+    assert math.isnan(p_value(1.0, -1.0))
+
+
 def test_star_thresholds_agree_with_normal_quantile_oracle():
     for p_star, marker in ((0.05, "*"), (0.01, "**"), (0.001, "***")):
         z = norm.isf(p_star / 2)

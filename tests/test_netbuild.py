@@ -39,7 +39,7 @@ def test_single_country_record_dropped_as_isolate():
     net_keep = build_network([rec("p1", ["AR"]), rec("p2", ["BR", "CL"])],
                              isolate_policy="keep")
     assert net_keep.nodes == ("AR", "BR", "CL")
-    assert net_keep.degree("AR") == 0
+    assert not any("AR" in pair for pair in net_keep.edges)
 
 
 def test_empty_slice_is_an_error():
@@ -213,6 +213,11 @@ def test_network_of_size_has_exact_counts():
     ("source,target\nUS,US\nUS,DE\nDE,FR\nFR,GB\n", "line 2: self-loop US-US"),
     # the same pair twice, once in each direction
     ("US,DE,2\nDE,FR,1\nDE,US,5\n", "line 3: duplicate pair DE-US"),
+    # malformed rows: one column, a count that is not a positive integer
+    ("source,target\nUS,DE\nFR\n", "line 3: expected at least 2 columns"),
+    ("US,DE,x\n", "line 1: copub_count 'x' is not an integer"),
+    ("US,DE,2\nDE,FR,0\n", "line 2: copub_count must be positive, got 0"),
+    ("US,DE,-3\nDE,FR,1\nFR,GB,1\n", "line 1: copub_count must be positive, got -3"),
 ])
 def test_edgelist_rejects_non_simple_graphs(text, message):
     with pytest.raises(ValueError, match=message):
@@ -228,6 +233,23 @@ def test_graphml_rejects_non_simple_graphs(ends, message):
             '<graph id="collab" edgedefault="undirected">'
             + "".join(f'<node id="{v}"/>' for v in ("DE", "FR", "US"))
             + "".join(f'<edge source="{a}" target="{b}"/>' for a, b in ends)
+            + "</graph></graphml>")
+    with pytest.raises(ValueError, match=message):
+        read_graphml(text)
+
+
+@pytest.mark.parametrize("counts,message", [
+    (["2", "-3"], "<edge> 2: copub_count must be positive, got -3"),
+    (["0", "1"], "<edge> 1: copub_count must be positive, got 0"),
+    (["1", "many"], "<edge> 2: copub_count 'many' is not an integer"),
+])
+def test_graphml_rejects_bad_counts(counts, message):
+    text = ('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+            '<graph id="collab" edgedefault="undirected">'
+            + "".join(f'<node id="{v}"/>' for v in ("DE", "FR", "US"))
+            + "".join(f'<edge source="{a}" target="{b}">'
+                      f'<data key="copub_count">{c}</data></edge>'
+                      for (a, b), c in zip([("DE", "US"), ("DE", "FR")], counts))
             + "</graph></graphml>")
     with pytest.raises(ValueError, match=message):
         read_graphml(text)
