@@ -184,8 +184,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _load_network(path: str, specialty: str | None, year: int | None) -> netbuild.CollabNetwork:
     p = Path(path)
     if p.suffix.lower() == ".graphml":
-        net = netbuild.read_graphml(p)
-        return net
+        return netbuild.read_graphml(p)
     spec, yr = specialty, year
     if spec is None or yr is None:
         stem = p.stem
@@ -207,9 +206,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         net = _load_network(path, args.specialty, args.year)
         stats_list.append(metrics.compute_stats(net, fit_powerlaw=args.powerlaw))
     if args.all_years:
-        rows = metrics.read_stats_csv(
-            metrics.stats_csv_text(stats_list, args.fixed_decimals).splitlines())
-        text = metrics.format_stats_grid(rows)
+        text = metrics.format_stats_grid([s.to_json_obj() for s in stats_list])
     elif args.out.endswith(".json"):
         text = metrics.stats_json_text(stats_list)
     else:

@@ -15,10 +15,9 @@ to a canonical byte-stable JSONL file.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -115,14 +114,10 @@ class SpecialtyMap:
         return sorted(self.universe | {OTHER_SPECIALTY})
 
     @classmethod
-    def from_csv(cls, source: str | Path | io.TextIOBase,
+    def from_csv(cls, source: str | Path | Iterable[str],
                  universe: Iterable[str] | None = None) -> "SpecialtyMap":
         """Load a two-column `journal,specialty` CSV (header optional)."""
-        if isinstance(source, (str, Path)):
-            with open(source, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-        else:
-            rows = list(csv.reader(source))
+        rows = list(csv.reader(_iter_lines(source)))
         if rows and [c.strip().lower() for c in rows[0][:2]] == ["journal", "specialty"]:
             rows = rows[1:]
         entries = {}
@@ -211,25 +206,25 @@ class Corpus:
              specialty_labels: Iterable[str] | None = None) -> "Corpus":
         """Read a previously saved corpus (specialties taken as stored)."""
         records: dict[str, PublicationRecord] = {}
-        with open(path, encoding="utf-8") as fh:
-            for n, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    rec = parse_record(obj)
-                except (json.JSONDecodeError, RecordInvalid) as exc:
-                    raise ValueError(f"{path}:{n}: {exc}") from None
-                records[rec.id] = rec
+        for n, line in enumerate(_iter_lines(path), start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = parse_record(json.loads(line))
+            except (json.JSONDecodeError, RecordInvalid) as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
+            records[rec.id] = rec
         labels = set(specialty_labels) if specialty_labels is not None else set(DEFAULT_SPECIALTIES)
         labels |= {r.specialty for r in records.values()}
         labels.add(OTHER_SPECIALTY)
         return cls(records=records, rejections=[], specialty_labels=frozenset(labels))
 
 
-def _iter_lines(source) -> Iterator[str]:
+def _iter_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
+    """The lines of a path (UTF-8, line endings kept, as `csv` needs), or
+    of an iterable of lines as given."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8") as fh:
             yield from fh
     else:
         yield from source
@@ -260,12 +255,7 @@ def ingest(source, smap: SpecialtyMap) -> Corpus:
             rid = obj.get("id") if isinstance(obj, dict) else None
             rejections.append((str(rid) if rid else f"line:{n}", exc.reason))
             continue
-        specialty = smap.resolve(rec.journal) or OTHER_SPECIALTY
-        rec = PublicationRecord(
-            id=rec.id, year=rec.year, journal=rec.journal, specialty=specialty,
-            field=rec.field, doctype=rec.doctype, countries=rec.countries,
-            citations=rec.citations,
-        )
+        rec = replace(rec, specialty=smap.resolve(rec.journal) or OTHER_SPECIALTY)
         if rec.id in records:
             rejections.append((rec.id, "superseded by later record with same id"))
         records[rec.id] = rec

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import PublicationRecord
+from .corpus import PublicationRecord, _iter_lines
 
 LOG_OFFSET = 0.1
 
@@ -32,25 +32,13 @@ class BaselineCell:
     usable: bool
 
 
-class Baselines:
-    """Per-cell mean citation counts; a cell with mean 0 is unusable."""
-
-    def __init__(self, cells: dict[CellKey, BaselineCell]):
-        self.cells = cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def get(self, key: CellKey) -> BaselineCell | None:
-        return self.cells.get(key)
-
-
 def cell_key(record: PublicationRecord) -> CellKey:
     return (record.field, record.year, record.doctype)
 
 
-def compute_baselines(records: Iterable[PublicationRecord]) -> Baselines:
-    """Arithmetic mean citations per (field, year, doctype) cell."""
+def compute_baselines(records: Iterable[PublicationRecord]) -> dict[CellKey, BaselineCell]:
+    """Arithmetic mean citations per (field, year, doctype) cell; a cell
+    with mean 0 is unusable."""
     sums: dict[CellKey, int] = {}
     counts: dict[CellKey, int] = {}
     for rec in records:
@@ -61,22 +49,14 @@ def compute_baselines(records: Iterable[PublicationRecord]) -> Baselines:
     for key, n in counts.items():
         mean = sums[key] / n
         cells[key] = BaselineCell(mean_citations=mean, n_papers=n, usable=mean > 0)
-    return Baselines(cells)
+    return cells
 
 
-def fwci(record: PublicationRecord, baselines: Baselines) -> float:
-    """Citations relative to the record's cell average; 0 iff uncited."""
-    cell = baselines.get(cell_key(record))
-    if cell is None:
-        raise KeyError(f"no baseline cell for {cell_key(record)}")
-    if not cell.usable:
-        raise ValueError(f"unusable baseline cell (mean 0) for {cell_key(record)}")
-    return record.citations / cell.mean_citations
-
-
-def attach_fwci(records: Iterable[PublicationRecord], baselines: Baselines,
+def attach_fwci(records: Iterable[PublicationRecord],
+                baselines: dict[CellKey, BaselineCell],
                 ) -> tuple[dict[str, float], list[tuple[str, str]]]:
-    """Score every record; return (scores by id, exclusions with reasons)."""
+    """Score every record: citations relative to its cell average, 0 iff
+    uncited. Returns (scores by id, exclusions with reasons)."""
     scores: dict[str, float] = {}
     excluded: list[tuple[str, str]] = []
     for rec in records:
@@ -151,13 +131,8 @@ def write_observations(observations: Iterable[ComboObservation],
 
 
 def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservation]:
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        rows = list(csv.DictReader(source))
     out = []
-    for row in rows:
+    for row in csv.DictReader(_iter_lines(source)):
         combo = tuple(row["combo_id"].split("-"))
         out.append(ComboObservation(
             combo_id=combo,

@@ -24,11 +24,13 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-INTERCEPT = "intercept"
+# The paper's model: log impact on these, one random intercept per country
+# combination.
+FIXED_EFFECTS = ("intercept", "country_count", "publication_count", "year")
 
 DISPLAY_NAMES = {
     "intercept": "Intercept",
@@ -38,16 +40,6 @@ DISPLAY_NAMES = {
 }
 
 STAR_LEVELS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
-
-
-@dataclass(frozen=True)
-class LmmSpec:
-    """Column layout of the regression: response, fixed effects, grouping."""
-
-    response: str = "log_fwci"
-    fixed_effects: tuple[str, ...] = (INTERCEPT, "country_count",
-                                      "publication_count", "year")
-    group: str = "combo_id"
 
 
 @dataclass
@@ -64,8 +56,8 @@ class LmmFit:
     n: int
     n_groups: int
     psi: float
+    # group -> sigma_u^2 / (sigma_u^2 + sigma^2 / n_g) * group residual mean
     group_effects: dict = field(default_factory=dict, repr=False)
-    spec: LmmSpec | None = field(default=None, repr=False)
 
     def coef(self, name: str) -> float:
         return float(self.beta[self.names.index(name)])
@@ -142,8 +134,7 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
         raise ValueError(f"rank-deficient design: collinear columns {', '.join(bad)}")
 
 
-def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None,
-                         spec: LmmSpec | None = None) -> LmmFit:
+def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> LmmFit:
     """Maximum-likelihood fit of the random-intercept model.
 
     `groups` assigns each row to its random-effect group. The search over
@@ -201,49 +192,17 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None,
     return LmmFit(names=names, beta=beta, se=se,
                   sigma_u2=psi_hat * sigma2, sigma2=sigma2,
                   loglik=loglik, aic=aic, n=n, n_groups=len(labels),
-                  psi=psi_hat, group_effects=group_effects, spec=spec)
+                  psi=psi_hat, group_effects=group_effects)
 
 
-def _design_row(ob, spec: LmmSpec) -> list[float]:
-    row = []
-    for name in spec.fixed_effects:
-        if name == INTERCEPT:
-            row.append(1.0)
-            continue
-        try:
-            row.append(float(getattr(ob, name)))
-        except AttributeError:
-            raise ValueError(f"observation has no column {name!r}") from None
-    return row
-
-
-def fit(observations: Sequence, spec: LmmSpec | None = None) -> LmmFit:
-    """Fit the default regression over combination observations.
-
-    The response and fixed effects are read off each observation by
-    attribute name; the random-effect group is the country combination, so
-    the same combination in different years shares one group.
-    """
-    spec = spec or LmmSpec()
-    y = [float(getattr(ob, spec.response)) for ob in observations]
-    X = [_design_row(ob, spec) for ob in observations]
-    groups = [getattr(ob, spec.group) for ob in observations]
-    return fit_random_intercept(y, X, groups, names=spec.fixed_effects, spec=spec)
-
-
-def predict(fit_: LmmFit, ob) -> float:
-    """Fixed-effects prediction, plus the group intercept when the group is known.
-
-    The group intercept is the shrinkage estimator
-    sigma_u^2 / (sigma_u^2 + sigma^2 / n_g) times the group residual mean.
-    """
-    spec = fit_.spec or LmmSpec()
-    x = np.array(_design_row(ob, spec))
-    value = float(x @ fit_.beta)
-    group = getattr(ob, spec.group, None)
-    if group is not None and group in fit_.group_effects:
-        value += fit_.group_effects[group]
-    return value
+def fit(observations: Sequence) -> LmmFit:
+    """Fit the paper's model over combination observations: `log_fwci` on
+    FIXED_EFFECTS, grouped by `combo_id`, so the same combination in
+    different years shares one group."""
+    y = [ob.log_fwci for ob in observations]
+    X = [[1.0, ob.country_count, ob.publication_count, ob.year] for ob in observations]
+    groups = [ob.combo_id for ob in observations]
+    return fit_random_intercept(y, X, groups, names=FIXED_EFFECTS)
 
 
 def p_value(estimate: float, se: float) -> float:

@@ -19,6 +19,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus import _iter_lines
+
 
 @dataclass(frozen=True)
 class TrendPoint:
@@ -122,13 +124,8 @@ def convergence(series_list: Sequence[TrendSeries]) -> ConvergenceResult:
 
 def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
     """Read stats rows back as dicts; blank cells become None."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        rows = list(csv.DictReader(source))
     out = []
-    for row in rows:
+    for row in csv.DictReader(_iter_lines(source)):
         parsed: dict = {"specialty": row.get("specialty", "")}
         for col in ("year", "nodes", "edges", "diameter", "components"):
             raw = row.get(col)
@@ -177,11 +174,6 @@ def trends_csv(series_list: Sequence[TrendSeries]) -> str:
                 repr(conv.pooled_node_share[i]),
             ])
     return out.getvalue()
-
-
-def write_trends_csv(series_list: Sequence[TrendSeries], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trends_csv(series_list))
 
 
 def change_cells(series: TrendSeries) -> tuple[str, str, str]:

@@ -158,15 +158,11 @@ def _centralization(A: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray]) 
     return float((bc.max() - bc).sum()) / ((n - 1) ** 2 * (n - 2) / 2.0)
 
 
-def _triangles(A: np.ndarray) -> np.ndarray:
-    return ((A @ A) * A).sum(axis=1).astype(np.int64) // 2
-
-
 def _clustering(A: np.ndarray) -> tuple[float, float]:
     n = len(A)
     if n < 3:
         raise ValueError("clustering undefined: need at least 3 nodes")
-    tri = _triangles(A)
+    tri = ((A @ A) * A).sum(axis=1).astype(np.int64) // 2  # triangles at each node
     degrees = A.sum(axis=1).astype(np.int64)
     wedges = degrees * (degrees - 1) // 2
     triples = int(wedges.sum())
@@ -206,12 +202,6 @@ def betweenness_centralization(net) -> float:
     nodes broker equally (any vertex-transitive graph)."""
     _, A = _matrix(net)
     return _centralization(A, *_levels(A))
-
-
-def triangle_counts(net) -> dict[str, int]:
-    """Triangles incident to each node."""
-    labels, A = _matrix(net)
-    return dict(zip(labels, _triangles(A).tolist()))
 
 
 def clustering(net) -> tuple[float, float]:
@@ -331,7 +321,12 @@ GRID_MEASURES = (
 
 
 def format_stats_grid(rows: list[dict]) -> str:
-    """Measure-by-year grid per specialty, one block per specialty."""
+    """Measure-by-year grid per specialty, one block per specialty.
+
+    `rows` are stats dicts keyed by the stats CSV columns
+    (`NetworkStats.to_json_obj`); each cell rounds the value once, to 2
+    decimals.
+    """
     years = sorted({r["year"] for r in rows if r.get("year") is not None})
     specialties = sorted({r["specialty"] for r in rows})
     by_key = {(r["specialty"], r["year"]): r for r in rows}

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 from xml.etree import ElementTree
 
-from .corpus import PublicationRecord
+from .corpus import PublicationRecord, _iter_lines
 from .countries import sorted_codes
 
 ISOLATE_POLICIES = ("keep", "drop")
@@ -239,63 +239,67 @@ def export(net: CollabNetwork, fmt: str, header: bool = True) -> str:
     raise ValueError(f"unknown format {fmt!r}; supported: {', '.join(EXPORT_FORMATS)}")
 
 
-def _copub_count(where: str, text: str) -> int:
-    """A co-publication count: a positive integer."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise ValueError(f"{where}: copub_count {text!r} is not an integer") from None
-    if count < 1:
-        raise ValueError(f"{where}: copub_count must be positive, got {count}")
-    return count
+def _network(specialty: str, year: int, rows: Iterable[tuple], nodes=None) -> CollabNetwork:
+    """The network of `(where, source, target, count_text, cosine_text)` rows.
 
-
-def _new_edge_key(edges: dict, where: str, a: str, b: str) -> tuple[str, str]:
-    """Key of an edge not yet in `edges`; self-loops and repeated pairs are errors."""
-    if a == b:
-        raise ValueError(f"{where}: self-loop {a}-{b}")
-    key = _edge_key(a, b)
-    if key in edges:
-        raise ValueError(f"{where}: duplicate pair {key[0]}-{key[1]}")
-    return key
+    Nodes are `nodes` when given, else the edge endpoints. A count of None
+    means 1 and a cosine of None means none. A missing endpoint, an endpoint
+    not in `nodes`, a self-loop, a pair repeated in either direction, a count
+    that is not a positive integer or a cosine that is not a finite number is
+    a ValueError naming the row's `where`.
+    """
+    edges: dict[tuple[str, str], Edge] = {}
+    strength: dict[str, int] = {}
+    for where, a, b, count_text, cosine_text in rows:
+        if not a or not b:
+            raise ValueError(f"{where}: missing endpoint (source {a!r}, target {b!r})")
+        for v in (a, b):
+            if nodes is not None and v not in nodes:
+                raise ValueError(f"{where}: endpoint {v!r} is not a declared node")
+        if a == b:
+            raise ValueError(f"{where}: self-loop {a}-{b}")
+        key = _edge_key(a, b)
+        if key in edges:
+            raise ValueError(f"{where}: duplicate pair {key[0]}-{key[1]}")
+        try:
+            count = 1 if count_text is None else int(count_text)
+        except ValueError:
+            raise ValueError(f"{where}: copub_count {count_text!r} is not an integer") from None
+        if count < 1:
+            raise ValueError(f"{where}: copub_count must be positive, got {count}")
+        try:
+            cosine = None if cosine_text is None else float(cosine_text)
+        except ValueError:
+            cosine = math.nan
+        if cosine is not None and not math.isfinite(cosine):
+            raise ValueError(f"{where}: cosine {cosine_text!r} is not a number")
+        edges[key] = Edge(copub_count=count, cosine=cosine)
+        for v in key:
+            strength[v] = strength.get(v, 0) + count
+    ordered = tuple(sorted({v for key in edges for v in key} if nodes is None else nodes))
+    return CollabNetwork(specialty=specialty, year=year, nodes=ordered,
+                         edges=dict(sorted(edges.items())),
+                         node_strength={v: strength.get(v, 0) for v in ordered})
 
 
 def read_edgelist(source: str | Path | Iterable[str], specialty: str = "",
                   year: int = 0) -> CollabNetwork:
     """Read an edge list CSV back into a network (nodes = edge endpoints).
 
-    A row with fewer than two columns, a count that is not a positive
-    integer, a self-loop or a pair listed twice (in either direction) is a
+    A row with fewer than two columns, or any row `_network` rejects, is a
     ValueError naming the line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    else:
-        rows = list(csv.reader(source))
-    first_line = 1
-    if rows and rows[0][:2] == ["source", "target"]:
-        rows, first_line = rows[1:], 2
-    edges: dict[tuple[str, str], Edge] = {}
-    strength: dict[str, int] = {}
-    for lineno, row in enumerate(rows, start=first_line):
-        if not row or not "".join(row).strip():
-            continue
-        where = f"line {lineno}"
-        if len(row) < 2:
-            raise ValueError(f"{where}: expected at least 2 columns "
-                             f"(source,target), got {len(row)}")
-        a, b = row[0], row[1]
-        count = _copub_count(where, row[2]) if len(row) > 2 and row[2] != "" else 1
-        cos = float(row[3]) if len(row) > 3 and row[3] != "" else None
-        key = _new_edge_key(edges, where, a, b)
-        edges[key] = Edge(copub_count=count, cosine=cos)
-        strength[a] = strength.get(a, 0) + count
-        strength[b] = strength.get(b, 0) + count
-    nodes = tuple(sorted({v for pair in edges for v in pair}))
-    return CollabNetwork(specialty=specialty, year=year, nodes=nodes,
-                         edges=dict(sorted(edges.items())),
-                         node_strength=strength)
+    def rows():
+        for lineno, row in enumerate(csv.reader(_iter_lines(source)), start=1):
+            if (lineno == 1 and row[:2] == ["source", "target"]) or not "".join(row).strip():
+                continue
+            if len(row) < 2:
+                raise ValueError(f"line {lineno}: expected at least 2 columns "
+                                 f"(source,target), got {len(row)}")
+            padded = row + ["", ""]
+            yield f"line {lineno}", row[0], row[1], padded[2] or None, padded[3] or None
+
+    return _network(specialty, year, rows())
 
 
 _GML_NS = "{http://graphml.graphdrawing.org/xmlns}"
@@ -304,8 +308,9 @@ _GML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 def read_graphml(source: str | Path) -> CollabNetwork:
     """Read a network exported by `export_graphml`.
 
-    A count that is not a positive integer, a self-loop or a repeated pair
-    is a ValueError naming the 1-based `<edge>` index.
+    A `<node>` without an id or declared twice is a ValueError naming its
+    1-based `<node>` index; any edge `_network` rejects, one naming its
+    1-based `<edge>` index. A `<data>` element present but empty is invalid.
     """
     if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("<")):
         tree = ElementTree.parse(source)
@@ -321,22 +326,19 @@ def read_graphml(source: str | Path) -> CollabNetwork:
             specialty = data.text or ""
         elif data.get("key") == "year":
             year = int(data.text or 0)
-    nodes = tuple(sorted(n.get("id") for n in graph.findall(f"{_GML_NS}node")))
-    edges: dict[tuple[str, str], Edge] = {}
-    strength: dict[str, int] = {}
-    for i, el in enumerate(graph.findall(f"{_GML_NS}edge"), start=1):
-        where = f"<edge> {i}"
-        a, b = el.get("source"), el.get("target")
-        count, cos = 1, None
-        for data in el.findall(f"{_GML_NS}data"):
-            if data.get("key") == "copub_count":
-                count = _copub_count(where, data.text or "")
-            elif data.get("key") == "cosine":
-                cos = float(data.text)
-        key = _new_edge_key(edges, where, a, b)
-        edges[key] = Edge(copub_count=count, cosine=cos)
-        strength[a] = strength.get(a, 0) + count
-        strength[b] = strength.get(b, 0) + count
-    return CollabNetwork(specialty=specialty, year=year, nodes=nodes,
-                         edges=dict(sorted(edges.items())),
-                         node_strength={v: strength.get(v, 0) for v in nodes})
+    nodes: set[str] = set()
+    for i, el in enumerate(graph.findall(f"{_GML_NS}node"), start=1):
+        v = el.get("id")
+        if not v:
+            raise ValueError(f"<node> {i}: missing id")
+        if v in nodes:
+            raise ValueError(f"<node> {i}: duplicate node {v}")
+        nodes.add(v)
+
+    def rows():
+        for i, el in enumerate(graph.findall(f"{_GML_NS}edge"), start=1):
+            data = {d.get("key"): d.text or "" for d in el.findall(f"{_GML_NS}data")}
+            yield (f"<edge> {i}", el.get("source"), el.get("target"),
+                   data.get("copub_count"), data.get("cosine"))
+
+    return _network(specialty, year, rows(), nodes)

@@ -9,6 +9,7 @@ import pytest
 import collabnet
 from collabnet.cli import main
 from collabnet.metrics import read_stats_csv
+from collabnet.netbuild import export_edgelist, network_of_size
 
 
 @pytest.fixture()
@@ -71,12 +72,38 @@ def test_validation_error_exits_one(workdir):
     ("US\n", "line 1: expected at least 2 columns"),
     ("US,DE,x\n", "line 1: copub_count 'x' is not an integer"),
     ("US,DE,-3\nDE,FR,1\nFR,GB,1\n", "line 1: copub_count must be positive, got -3"),
+    ("US,\nDE,FR\nFR,GB\n", "line 1: missing endpoint"),
+    ("US,DE,1,abc\n", "line 1: cosine 'abc' is not a number"),
 ])
 def test_non_simple_edgelist_exits_one(workdir, capsys, rows, message):
     (workdir / "bad.csv").write_text(rows)
     assert run("stats", "--input", "bad.csv", "--out", "stats.csv") == 1
     assert message in capsys.readouterr().err
     assert not (workdir / "stats.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "export"])
+@pytest.mark.parametrize("nodes,edges,message", [
+    ("DE FR US", [("US", None)], "<edge> 1: missing endpoint"),
+    ("DE FR US", [("US", "DE"), ("FR", "GB")], "<edge> 2: endpoint 'GB' is not a declared node"),
+    # the triangle US-DE-FR, US declared twice
+    ("US DE FR US", [("US", "DE"), ("DE", "FR"), ("FR", "US")], "<node> 4: duplicate node US"),
+    ("DE US", [("US", "DE", "abc")], "<edge> 1: cosine 'abc' is not a number"),
+])
+def test_malformed_graphml_exits_one(workdir, capsys, command, nodes, edges, message):
+    def edge(source, target, cosine=None):
+        ends = f' source="{source}"' + (f' target="{target}"' if target else "")
+        data = f'<data key="cosine">{cosine}</data>' if cosine else ""
+        return f"<edge{ends}>{data}</edge>"
+
+    (workdir / "bad.graphml").write_text(
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+        '<graph id="collab" edgedefault="undirected">'
+        + "".join(f'<node id="{v}"/>' for v in nodes.split())
+        + "".join(edge(*e) for e in edges) + "</graph></graphml>")
+    assert run(command, "--input", "bad.graphml", "--out", "out.csv") == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
 
 
 def test_every_output_has_a_manifest(workdir):
@@ -195,6 +222,17 @@ def test_stats_grid_layout(workdir):
     assert "Virology" in grid
     assert "Avg. Degree" in grid
     assert "2008" in grid and "2013" in grid
+
+
+def test_stats_grid_rounds_the_computed_value_once(workdir):
+    # betweenness centralization 0.08496: 0.0850 at 4 decimals, 0.08 at 2
+    net = network_of_size(12, 40, specialty="Virology", year=2013)
+    (workdir / "net.csv").write_text(export_edgelist(net))
+    assert run("stats", "--input", "net.csv", "--all-years", "--fixed-decimals",
+               "--out", "grid.txt") == 0
+    row = next(line for line in (workdir / "grid.txt").read_text().splitlines()
+               if "Betweenness" in line)
+    assert row.split() == ["Betweenness", "0.08"]
 
 
 def test_build_no_header_flag(workdir):

@@ -218,3 +218,39 @@ def test_write_rejections_csv(tmp_path):
     p = tmp_path / "rej.csv"
     corpus.write_rejections([("p1", "empty country set")], p)
     assert p.read_text() == "id,reason\np1,empty country set\n"
+
+
+def test_crlf_files_read_like_lf(bundled_map, tmp_path):
+    from collabnet import impact, longit, metrics, netbuild
+
+    def both(name: str, text: str):
+        """Paths to the text with LF and with CRLF line endings."""
+        lf, crlf = tmp_path / f"lf-{name}", tmp_path / f"crlf-{name}"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert b"\r\n" in crlf.read_bytes()
+        return lf, crlf
+
+    lines = [make_line(id=f"p{i}", citations=i) for i in range(5)] + ["{oops", ""]
+    lf, crlf = both("raw.jsonl", "\n".join(lines) + "\n")
+    a, b = ingest(lf, bundled_map), ingest(crlf, bundled_map)
+    assert (a.records, a.rejections) == (b.records, b.rejections)
+    a.save(tmp_path / "corpus.jsonl")
+    lf, crlf = both("corpus.jsonl", (tmp_path / "corpus.jsonl").read_text())
+    assert Corpus.load(lf).records == Corpus.load(crlf).records == a.records
+
+    lf, crlf = both("map.csv", "journal,specialty\nJ One,Virology\n\"J, Two\",Seismology\n")
+    assert SpecialtyMap.from_csv(lf)._entries == SpecialtyMap.from_csv(crlf)._entries
+
+    net = netbuild.network_of_size(8, 12)
+    lf, crlf = both("net.csv", netbuild.export_edgelist(net))
+    assert netbuild.read_edgelist(lf) == netbuild.read_edgelist(crlf)
+    assert netbuild.read_edgelist(crlf).edges == net.edges
+
+    lf, crlf = both("stats.csv", metrics.stats_csv_text([metrics.compute_stats(net)]))
+    assert longit.read_stats_csv(lf) == longit.read_stats_csv(crlf)
+
+    obs = [impact.make_observation(("CN", "US"), 2013, [0.5, 1.5])]
+    impact.write_observations(obs, tmp_path / "obs.csv")
+    lf, crlf = both("obs.csv", (tmp_path / "obs.csv").read_text())
+    assert impact.read_observations(lf) == impact.read_observations(crlf) == obs

@@ -6,11 +6,9 @@ from collabnet import syngen
 from collabnet.corpus import PublicationRecord, ingest
 from collabnet.impact import (
     BaselineCell,
-    Baselines,
     attach_fwci,
     build_observations,
     compute_baselines,
-    fwci,
     make_observation,
     read_observations,
     write_observations,
@@ -61,19 +59,23 @@ def test_baselines_match_independent_group_by():
 # ------------------------------------------------------------------ fwci
 
 def test_fwci_at_average_paper_is_one():
-    baselines = compute_baselines([rec("a", 2), rec("b", 2)])
-    assert fwci(rec("a", 2), baselines) == 1.0
+    records = [rec("a", 2), rec("b", 2)]
+    scores, _ = attach_fwci(records, compute_baselines(records))
+    assert scores == {"a": 1.0, "b": 1.0}
 
 
 def test_fwci_seventeen_point_one_eight_times_average():
-    baselines = Baselines({("F", 2013, "article"): BaselineCell(100.0, 20, True)})
-    assert fwci(rec("big", 1718), baselines) == pytest.approx(17.18, abs=1e-12)
+    baselines = {("F", 2013, "article"): BaselineCell(100.0, 20, True)}
+    scores, _ = attach_fwci([rec("big", 1718)], baselines)
+    assert scores["big"] == pytest.approx(17.18, abs=1e-12)
 
 
 def test_fwci_zero_iff_uncited():
-    baselines = compute_baselines([rec("a", 0), rec("b", 6)])
-    assert fwci(rec("a", 0), baselines) == 0.0
-    assert fwci(rec("b", 6), baselines) > 0.0
+    records = [rec("a", 0), rec("b", 6)]
+    scores, excluded = attach_fwci(records, compute_baselines(records))
+    assert excluded == []
+    assert scores["a"] == 0.0
+    assert scores["b"] > 0.0
 
 
 def test_unusable_and_missing_cells_are_excluded_with_reason():

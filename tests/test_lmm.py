@@ -7,12 +7,10 @@ from scipy.stats import norm
 from collabnet.impact import make_observation
 from collabnet.lmm import (
     LmmFit,
-    LmmSpec,
     fit,
     fit_random_intercept,
     format_cell,
     p_value,
-    predict,
     profile_deviance,
     report,
     report_csv,
@@ -177,7 +175,7 @@ def test_raw_year_coding_produces_large_intercept_pattern():
     assert abs(f.coef("intercept") - beta[0]) < 3 * f.stderr("intercept")
 
 
-# ------------------------------------------------------------------ predict
+# ---------------------------------------------------------- group intercepts
 
 def test_predict_without_group_structure_is_fixed_effects_only():
     # +d/-d residuals in every group force the boundary solution exactly
@@ -189,14 +187,10 @@ def test_predict_without_group_structure_is_fixed_effects_only():
     f = fit_random_intercept(y, X, groups, names=("intercept", "combo"))
     assert f.sigma_u2 == 0.0
     assert all(u == 0.0 for u in f.group_effects.values())
-    f.spec = LmmSpec(fixed_effects=("intercept", "combo"), group="group")
-
-    class Row:
-        intercept = 1.0
-        combo = 2.5
-        group = "g3"
-
-    assert predict(f, Row()) == pytest.approx(f.beta @ [1.0, 2.5], rel=1e-12)
+    # no group variance: the fixed effects are the least-squares solution
+    ols = np.linalg.lstsq(X, y, rcond=None)[0]
+    assert f.coef("intercept") == pytest.approx(ols[0], rel=1e-12)
+    assert f.coef("combo") == pytest.approx(ols[1], rel=1e-12)
 
 
 def test_predict_shrinkage_matches_direct_formula():
@@ -220,14 +214,7 @@ def test_predict_approaches_group_mean_for_large_groups():
     u = rng.normal(0, 3.0, n_groups)  # sigma_u2 >> sigma2 / n_g
     y = 1.0 + u[groups] + rng.normal(0, 0.5, n_groups * per)
     f = fit_random_intercept(y, X, [f"g{g}" for g in groups], names=("intercept",))
-
-    class Row:
-        intercept = 1.0
-        combo_id = "g3"
-
-    spec = LmmSpec(response="y", fixed_effects=("intercept",), group="combo_id")
-    f.spec = spec
-    got = predict(f, Row())
+    got = f.coef("intercept") + f.group_effects["g3"]
     group_mean = y[groups == 3].mean()
     assert abs(got - group_mean) < 0.05
 
@@ -244,18 +231,6 @@ def test_fit_over_observations_uses_combo_group():
     assert f.names == ("intercept", "country_count", "publication_count", "year")
     assert f.n == 8
     assert f.n_groups == 4  # combos, not combo-years
-
-
-def test_predict_missing_column_is_an_error():
-    y, X, groups, _ = simulate(seed=16, n_groups=50)
-    f = fit_random_intercept(y, X, groups, names=NAMES)
-    f.spec = LmmSpec(fixed_effects=("intercept", "nope"), group="combo_id")
-
-    class Row:
-        intercept = 1.0
-
-    with pytest.raises(ValueError, match="nope"):
-        predict(f, Row())
 
 
 # ------------------------------------------------------------------- report

@@ -3,9 +3,12 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collabnet import syngen
 from collabnet.corpus import PublicationRecord, ingest
+from collabnet.countries import sorted_codes
 from collabnet.netbuild import (
     CollabNetwork,
     Edge,
@@ -218,6 +221,10 @@ def test_network_of_size_has_exact_counts():
     ("US,DE,x\n", "line 1: copub_count 'x' is not an integer"),
     ("US,DE,2\nDE,FR,0\n", "line 2: copub_count must be positive, got 0"),
     ("US,DE,-3\nDE,FR,1\nFR,GB,1\n", "line 1: copub_count must be positive, got -3"),
+    # an empty endpoint, a cosine that is not a number
+    ("US,\nDE,FR\nFR,GB\n", "line 1: missing endpoint"),
+    ("US,DE,1,abc\n", "line 1: cosine 'abc' is not a number"),
+    ("US,DE,1,0.5\nDE,FR,1,nan\n", "line 2: cosine 'nan' is not a number"),
 ])
 def test_edgelist_rejects_non_simple_graphs(text, message):
     with pytest.raises(ValueError, match=message):
@@ -253,3 +260,70 @@ def test_graphml_rejects_bad_counts(counts, message):
             + "</graph></graphml>")
     with pytest.raises(ValueError, match=message):
         read_graphml(text)
+
+
+def graphml_text(node_elements, edge_elements) -> str:
+    return ('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+            '<graph id="collab" edgedefault="undirected">'
+            + "".join(node_elements) + "".join(edge_elements)
+            + "</graph></graphml>")
+
+
+TRIANGLE = ['<edge source="US" target="DE"/>', '<edge source="DE" target="FR"/>',
+            '<edge source="FR" target="US"/>']
+
+
+@pytest.mark.parametrize("node_ids,edge_elements,message", [
+    (["DE", "FR", "US"], ['<edge source="US"/>'], "<edge> 1: missing endpoint"),
+    (["DE", "FR", "US"], ['<edge source="US" target="DE"/>', '<edge source="FR" target="GB"/>'],
+     "<edge> 2: endpoint 'GB' is not a declared node"),
+    (["US", "DE", "FR", "US"], TRIANGLE, "<node> 4: duplicate node US"),
+    (["US", None, "FR"], TRIANGLE[:1], "<node> 2: missing id"),
+    (["DE", "US"], ['<edge source="US" target="DE"><data key="cosine">abc</data></edge>'],
+     "<edge> 1: cosine 'abc' is not a number"),
+    (["DE", "US"], ['<edge source="US" target="DE"><data key="copub_count"></data></edge>'],
+     "<edge> 1: copub_count '' is not an integer"),
+])
+def test_graphml_rejects_malformed_nodes_and_edges(node_ids, edge_elements, message):
+    nodes = ["<node/>" if v is None else f'<node id="{v}"/>' for v in node_ids]
+    with pytest.raises(ValueError, match=message):
+        read_graphml(graphml_text(nodes, edge_elements))
+
+
+@st.composite
+def simple_networks(draw) -> CollabNetwork:
+    """A simple graph on country codes with counts >= 1, optional cosines and
+    isolates; node strength is the sum of incident counts, as the readers
+    define it."""
+    labels = draw(st.lists(st.sampled_from(sorted_codes()[:30]), min_size=1,
+                           max_size=12, unique=True))
+    pairs = list(combinations(sorted(labels), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) \
+        if pairs else []
+    cosines = st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    edges = {key: Edge(copub_count=draw(st.integers(1, 10**6)), cosine=draw(cosines))
+             for key in sorted(chosen)}
+    strength = {v: 0 for v in sorted(labels)}
+    for (a, b), e in edges.items():
+        strength[a] += e.copub_count
+        strength[b] += e.copub_count
+    return CollabNetwork(specialty=draw(st.sampled_from(["", "Virology", "Soil Science"])),
+                         year=draw(st.integers(1900, 2100)), nodes=tuple(sorted(labels)),
+                         edges=edges, node_strength=strength, isolate_policy="keep")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(simple_networks(), st.booleans())
+def test_readers_invert_exports(net, header):
+    back = read_graphml(export_graphml(net))
+    assert (back.specialty, back.year) == (net.specialty, net.year)
+    assert back.nodes == net.nodes  # isolates kept
+    assert back.edges == net.edges
+    assert back.node_strength == net.node_strength
+
+    lines = export_edgelist(net, header=header).splitlines(keepends=True)
+    back = read_edgelist(lines, specialty=net.specialty, year=net.year)
+    linked = {v for key in net.edges for v in key}
+    assert back.nodes == tuple(v for v in net.nodes if v in linked)  # isolates dropped
+    assert back.edges == net.edges
+    assert back.node_strength == {v: s for v, s in net.node_strength.items() if v in linked}
