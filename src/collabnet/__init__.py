@@ -9,8 +9,8 @@ ground-truth data for testing.
 
 The package exposes its modules, not their functions
 (`from collabnet import metrics`), and importing it loads none of them, so
-each command pays only for the modules it runs: numpy and scipy are loaded
-by `gen`, `stats` and `regress` alone.
+each command pays only for the modules it runs: numpy is loaded by `gen`,
+`stats` and `regress` alone, and no command loads scipy.
 """
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ import json
 import sys
 from pathlib import Path
 
-# Standard library only; syngen, metrics and lmm load numpy/scipy, so the
-# commands that use them import them.
+# Standard library only; syngen, metrics and lmm load numpy, so the commands
+# that use them import them.
 from . import __version__, corpus, impact, longit, netbuild
 
 
@@ -164,7 +164,7 @@ def _format_from_out(out: str, fmt: str | None) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    corp = corpus.Corpus.load(args.input)
+    corp = corpus.Corpus.load(args.input, only=(args.specialty, args.year))
     records = corpus.filter_records(corp, args.specialty, args.year)
     net = netbuild.build_network(records, isolate_policy=args.isolate_policy,
                                  count_mode=args.count_mode)
@@ -223,23 +223,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- regress
 
 def _fits_from_corpus(corp: corpus.Corpus, scores: dict[str, float],
-                      specialty: str | None) -> dict[str, lmm.LmmFit]:
+                      specialty: str | None, whole: list | None) -> dict[str, lmm.LmmFit]:
+    """One fit per specialty plus "All Fields" on `whole`, the observations
+    of the whole corpus; or one fit for the given specialty."""
     from . import lmm
+
+    def observations(label: str) -> list:
+        return impact.build_observations([r for r in corp if r.specialty == label], scores)
 
     fits: dict[str, lmm.LmmFit] = {}
     if specialty is not None:
         if specialty not in corp.specialty_labels:
             valid = ", ".join(sorted(corp.specialty_labels))
             raise CliError(f"unknown specialty {specialty!r}; valid labels: {valid}")
-        slices = [(specialty, [r for r in corp if r.specialty == specialty])]
+        slices = [(specialty, observations(specialty))]
     else:
         present = sorted({r.specialty for r in corp})
-        slices = [(s, [r for r in corp if r.specialty == s]) for s in present]
-        slices.append(("All Fields", list(corp)))
-    for label, records in slices:
-        observations = impact.build_observations(records, scores)
+        slices = [(s, observations(s)) for s in present] + [("All Fields", whole)]
+    for label, obs in slices:
         try:
-            fits[label] = lmm.fit(observations)
+            fits[label] = lmm.fit(obs)
         except ValueError as exc:
             print(f"skipping {label}: {exc}", file=sys.stderr)
     if not fits:
@@ -261,10 +264,11 @@ def cmd_regress(args: argparse.Namespace) -> int:
         scores, excluded = impact.attach_fwci(corp, impact.compute_baselines(corp))
         for rid, reason in excluded:
             print(f"excluded {rid}: {reason}", file=sys.stderr)
-        fits = _fits_from_corpus(corp, scores, args.specialty)
+        whole = (impact.build_observations(list(corp), scores)
+                 if args.specialty is None or args.observations_out else None)
+        fits = _fits_from_corpus(corp, scores, args.specialty, whole)
         if args.observations_out:
-            obs = impact.build_observations(list(corp), scores)
-            impact.write_observations(obs, args.observations_out)
+            impact.write_observations(whole, args.observations_out)
             outputs.append(Path(args.observations_out))
     outputs.insert(0, _write_text(args.out, lmm.report(fits)))
     if args.csv_out:

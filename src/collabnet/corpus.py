@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .countries import is_known_country, normalize_country
+from .countries import COUNTRY_CODES, is_known_country, normalize_country
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -40,13 +40,24 @@ OTHER_SPECIALTY = "other"
 
 _WS = re.compile(r"\s+")
 
+# A line as `Corpus.save` writes it: sorted keys, no spaces, strings without
+# escapes, optionally followed by a line ending.
+_STR = r'"([^"\\\x00-\x1f]*)"'
+_INT = r"(0|[1-9][0-9]*)"
+_CANONICAL = re.compile(
+    r'\{"citations":' + _INT + r',"countries":\["([A-Z]{2}(?:","[A-Z]{2})*)"\]'
+    + "".join(f',"{key}":{_STR}' for key in ("doctype", "field", "id", "journal", "specialty"))
+    + r',"year":' + _INT + r'\}\r?\n?')
+
 
 class RecordInvalid(ValueError):
-    """A single record failed validation; `reason` goes to the report."""
+    """A single record failed validation; `reason` goes to the report, under
+    `record_id` when the record has one."""
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, record_id=None):
         super().__init__(reason)
         self.reason = reason
+        self.record_id = record_id
 
 
 @dataclass(frozen=True)
@@ -202,21 +213,25 @@ class Corpus:
                 fh.write("\n")
 
     @classmethod
-    def load(cls, path: str | Path,
-             specialty_labels: Iterable[str] | None = None) -> "Corpus":
-        """Read a previously saved corpus (specialties taken as stored)."""
-        records: dict[str, PublicationRecord] = {}
+    def load(cls, path: str | Path, only: tuple[str, int] | None = None) -> "Corpus":
+        """Read a previously saved corpus (specialties taken as stored).
+
+        With `only=(specialty, year)` every line is still validated, but only
+        that slice's records are kept: the result holds exactly
+        `filter_records(Corpus.load(path), *only)`, and the specialty labels
+        of the whole corpus.
+        """
+        latest: dict[str, tuple[str, PublicationRecord | None]] = {}
         for n, line in enumerate(_iter_lines(path), start=1):
             if not line.strip():
                 continue
             try:
-                rec = parse_record(json.loads(line))
+                rid, specialty, rec = _parse_line(line, only)
             except (json.JSONDecodeError, RecordInvalid) as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
-            records[rec.id] = rec
-        labels = set(specialty_labels) if specialty_labels is not None else set(DEFAULT_SPECIALTIES)
-        labels |= {r.specialty for r in records.values()}
-        labels.add(OTHER_SPECIALTY)
+            latest[rid] = (specialty, rec)
+        records = {rid: rec for rid, (_, rec) in latest.items() if rec is not None}
+        labels = {s for s, _ in latest.values()} | set(DEFAULT_SPECIALTIES) | {OTHER_SPECIALTY}
         return cls(records=records, rejections=[], specialty_labels=frozenset(labels))
 
 
@@ -228,6 +243,40 @@ def _iter_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
             yield from fh
     else:
         yield from source
+
+
+def _parse_line(line: str, only: tuple[str, int] | None = None
+                ) -> tuple[str, str, PublicationRecord | None]:
+    """(id, specialty, record) of one corpus line; the record is None when
+    `only=(specialty, year)` is given and the line lies outside that slice.
+
+    The record is `parse_record(json.loads(line))`, and so are the
+    exceptions, plus a RecordInvalid for a line that is not an object. A
+    canonical line whose values all pass validation is read by one regex
+    match instead. Its codes are ISO codes, which normalization leaves as
+    they are.
+    """
+    m = _CANONICAL.fullmatch(line)
+    if m is not None:
+        citations, codes, doctype, field_, rid, journal, specialty, year = m.groups()
+        countries = codes.split('","')
+        year = int(year)
+        if rid.strip() and YEAR_MIN <= year <= YEAR_MAX and COUNTRY_CODES.issuperset(countries):
+            if only is not None and (specialty, year) != only:
+                return rid, specialty, None
+            return rid, specialty, PublicationRecord(
+                id=rid, year=year, journal=journal, specialty=specialty, field=field_,
+                doctype=doctype, countries=tuple(sorted(set(countries))),
+                citations=int(citations))
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise RecordInvalid("malformed record: not an object")
+    try:
+        rec = parse_record(obj)
+    except RecordInvalid as exc:
+        raise RecordInvalid(exc.reason, obj.get("id")) from None
+    inside = only is None or (rec.specialty, rec.year) == only
+    return rec.id, rec.specialty, rec if inside else None
 
 
 def ingest(source, smap: SpecialtyMap) -> Corpus:
@@ -244,15 +293,12 @@ def ingest(source, smap: SpecialtyMap) -> Corpus:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise RecordInvalid("malformed record: not an object")
-            rec = parse_record(obj)
+            rec = _parse_line(line)[2]
         except json.JSONDecodeError as exc:
             rejections.append((f"line:{n}", f"malformed record: {exc.msg}"))
             continue
         except RecordInvalid as exc:
-            rid = obj.get("id") if isinstance(obj, dict) else None
+            rid = exc.record_id
             rejections.append((str(rid) if rid else f"line:{n}", exc.reason))
             continue
         rec = replace(rec, specialty=smap.resolve(rec.journal) or OTHER_SPECIALTY)

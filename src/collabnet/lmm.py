@@ -123,15 +123,110 @@ def profile_deviance(y, X, groups, psi: float) -> float:
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
-    from scipy.linalg import qr
+    """Reject a rank-deficient design, naming the columns that a QR with
+    column pivoting (Businger and Golub 1965; LAPACK dgeqp3) leaves last.
 
-    _, R, piv = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
+    Each step takes the column with the largest residual norm, the first on
+    a tie, and projects it out of the others (Gram-Schmidt, done twice);
+    those norms are the |R_kk| of the pivoted QR.
+    """
+    R = np.array(X, dtype=float)
+    remaining = list(range(R.shape[1]))
+    pivots, diag = [], []
+    while remaining:
+        norms = np.linalg.norm(R[:, remaining], axis=0)
+        k = int(np.argmax(norms))
+        pivots.append(remaining.pop(k))
+        diag.append(float(norms[k]))
+        if diag[-1] == 0.0:
+            break
+        q = R[:, pivots[-1]] / diag[-1]
+        for _ in range(2):
+            R[:, remaining] -= np.outer(q, q @ R[:, remaining])
+    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag else 0.0)
+    rank = sum(d > tol for d in diag)
     if rank < X.shape[1]:
-        bad = sorted(names[j] for j in piv[rank:])
+        bad = sorted(names[j] for j in range(X.shape[1]) if j not in pivots[:rank])
         raise ValueError(f"rank-deficient design: collinear columns {', '.join(bad)}")
+
+
+def _fminbound(func, x1: float, x2: float, xatol: float) -> float:
+    """Minimizer of func on [x1, x2] by Brent's bounded golden-section and
+    parabolic search.
+
+    An operation-for-operation port of SciPy's `_minimize_scalar_bounded`
+    (scipy/optimize/_optimize.py, BSD-3) with its default maxiter, so it
+    returns the bits of `minimize_scalar(..., method="bounded").x`.
+    """
+    maxfun = 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
+def _sign(x: float) -> float:
+    """np.sign(x) + (x == 0): the step direction, +1 at zero."""
+    return -1.0 if x < 0 else 1.0 if x >= 0 else math.nan
 
 
 def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> LmmFit:
@@ -143,8 +238,6 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> Lm
     psi = 0 is always considered, so data without group structure yield the
     ordinary least-squares solution exactly.
     """
-    from scipy.optimize import minimize_scalar
-
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or y.shape[0] != X.shape[0] or len(groups) != X.shape[0]:
@@ -172,9 +265,7 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> Lm
         i = int(np.argmin(devs))
         lo = grid[max(i - 1, 0)]
         hi = grid[i + 1] if i + 1 < len(grid) else grid[i] * 10.0
-        res = minimize_scalar(prof.deviance, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-8 * max(1.0, grid[i])})
-        psi_hat = float(res.x)
+        psi_hat = float(_fminbound(prof.deviance, lo, hi, xatol=1e-8 * max(1.0, grid[i])))
         if prof.deviance(0.0) <= prof.deviance(psi_hat):
             psi_hat = 0.0
 
@@ -208,14 +299,83 @@ def fit(observations: Sequence) -> LmmFit:
 def p_value(estimate: float, se: float) -> float:
     """Two-sided normal-approximation p-value.
 
-    ndtr(-z) is what scipy.stats.norm.sf(z) evaluates, bit for bit, without
-    importing scipy.stats; math.erfc(z / sqrt(2)) differs in the last bits.
+    ndtr(-z) is what scipy.stats.norm.sf(z) evaluates, bit for bit;
+    math.erfc(z / sqrt(2)) differs in the last bits.
     """
-    from scipy.special import ndtr
-
     if se <= 0:
         return math.nan
-    return 2.0 * float(ndtr(-(abs(estimate) / se)))
+    return 2.0 * _ndtr(-(abs(estimate) / se))
+
+
+# Rational approximations of Cephes ndtr.c: erfc on [1, 8) as P/Q, on
+# [8, inf) as R/S, and erf on [0, 1] as x T(x^2)/U(x^2); Q, S and U have a
+# leading coefficient of 1 left out.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: float, coef: tuple, monic: bool = False) -> float:
+    """Horner's rule, as Cephes polevl (or p1evl, for a monic polynomial)."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _T) / _polevl(z, _U, monic=True)
+
+
+def _erfc(a: float) -> float:
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    y = 0.0
+    if z >= -_MAXLOG:
+        if x < 8.0:
+            p, q = _polevl(x, _P), _polevl(x, _Q, monic=True)
+        else:
+            p, q = _polevl(x, _R), _polevl(x, _S, monic=True)
+        y = (math.exp(z) * p) / q
+        if a < 0:
+            y = 2.0 - y
+    if y == 0.0:  # underflow
+        return 2.0 if a < 0 else 0.0
+    return y
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF: an operation-for-operation port of Cephes ndtr.c
+    (Moshier) with its own erf and erfc, as SciPy ships it, so it returns
+    the bits of `scipy.special.ndtr`."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
 
 
 def stars(p: float) -> str:

@@ -7,7 +7,7 @@ per specialty plus a pooled mean curve; shares may exceed 1 when a field
 shrinks, which is flagged rather than forbidden.
 
 The stats CSV reader lives here, beside its consumer, so reading a stats
-file needs neither numpy nor scipy; `metrics` re-exports it.
+file needs no numpy; `metrics` re-exports it.
 """
 
 from __future__ import annotations

@@ -310,7 +310,8 @@ def read_graphml(source: str | Path) -> CollabNetwork:
 
     A `<node>` without an id or declared twice is a ValueError naming its
     1-based `<node>` index; any edge `_network` rejects, one naming its
-    1-based `<edge>` index. A `<data>` element present but empty is invalid.
+    1-based `<edge>` index; a graph year that is not an integer, one naming
+    its `<data key="year">`. A `<data>` element present but empty is invalid.
     """
     if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("<")):
         tree = ElementTree.parse(source)
@@ -325,7 +326,10 @@ def read_graphml(source: str | Path) -> CollabNetwork:
         if data.get("key") == "specialty":
             specialty = data.text or ""
         elif data.get("key") == "year":
-            year = int(data.text or 0)
+            try:
+                year = int(data.text or 0)
+            except ValueError:
+                raise ValueError(f'<data key="year">: year {data.text!r} is not an integer') from None
     nodes: set[str] = set()
     for i, el in enumerate(graph.findall(f"{_GML_NS}node"), start=1):
         v = el.get("id")

@@ -106,6 +106,30 @@ def test_malformed_graphml_exits_one(workdir, capsys, command, nodes, edges, mes
     assert not (workdir / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "regress"])
+@pytest.mark.parametrize("line", ["[1,2]", '"x"', "null", "3"])
+def test_non_object_corpus_line_exits_one_with_its_location(workdir, capsys, command, line):
+    corpus_path = gen_corpus(workdir, n_papers=50)
+    lines = corpus_path.read_text().splitlines()
+    corpus_path.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
+    extra = ["--specialty", "Virology", "--year", "2013"] if command == "build" else []
+    assert run(command, "--input", "corpus.jsonl", *extra, "--out", "out.txt") == 1
+    assert "corpus.jsonl:3: malformed record: not an object" in capsys.readouterr().err
+    assert not (workdir / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "export"])
+def test_graphml_year_that_is_not_an_integer_exits_one(workdir, capsys, command):
+    (workdir / "bad.graphml").write_text(
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+        '<graph id="collab" edgedefault="undirected"><data key="year">20x3</data>'
+        '<node id="DE"/><node id="FR"/><node id="US"/>'
+        '<edge source="US" target="DE"/><edge source="DE" target="FR"/></graph></graphml>')
+    assert run(command, "--input", "bad.graphml", "--out", "out.csv") == 1
+    assert """<data key="year">: year '20x3' is not an integer""" in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
+
+
 def test_every_output_has_a_manifest(workdir):
     gen_corpus(workdir)
     for out in ("raw.jsonl", "corpus.jsonl"):
@@ -244,6 +268,7 @@ def test_build_no_header_flag(workdir):
 
 
 # Run in a fresh interpreter: which numpy/scipy modules each step has loaded.
+# No command loads scipy; only stats and regress load numpy.
 IMPORT_PROBE = """
 import json, sys
 
@@ -263,6 +288,7 @@ out["heavy_exits"] = [collabnet.cli.main(argv) for argv in (
     ["stats", "--input", "fresh.csv", "--powerlaw", "--out", "fresh-stats.csv"],
     ["regress", "--input", "fresh.jsonl", "--out", "report.txt"],
 )]
+out["heavy"] = heavy()
 print(json.dumps(out))
 """
 
@@ -282,3 +308,5 @@ def test_light_commands_load_no_numpy_or_scipy(workdir):
     assert out["light_exits"] == [0, 0, 0]
     assert out["light"] == []
     assert out["heavy_exits"] == [0, 0]
+    assert "numpy" in out["heavy"]
+    assert [m for m in out["heavy"] if m.startswith("scipy")] == []

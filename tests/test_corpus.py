@@ -1,16 +1,21 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collabnet import corpus, syngen
 from collabnet.corpus import (
     Corpus,
     PublicationRecord,
+    RecordInvalid,
     SpecialtyMap,
+    _parse_line,
     filter_records,
     ingest,
     parse_record,
 )
+from collabnet.countries import ALIASES, COUNTRY_CODES
 
 
 def make_line(**overrides) -> str:
@@ -254,3 +259,161 @@ def test_crlf_files_read_like_lf(bundled_map, tmp_path):
     impact.write_observations(obs, tmp_path / "obs.csv")
     lf, crlf = both("obs.csv", (tmp_path / "obs.csv").read_text())
     assert impact.read_observations(lf) == impact.read_observations(crlf) == obs
+
+
+# ------------------------------------------------- the shared line parser
+
+def canonical(obj: dict, **kwargs) -> str:
+    """A line as `Corpus.save` writes it (with ensure_ascii=False, as a
+    hand-written file may have it)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), **kwargs) + "\n"
+
+
+def test_no_alias_is_an_iso_code():
+    # so normalization leaves a known code as it is, which the fast path relies on
+    assert ALIASES.keys().isdisjoint(COUNTRY_CODES)
+
+
+# Each mutation turns a valid record object into a line; `key` names a field.
+MUTATIONS = {
+    "none": lambda o, key: canonical(o),
+    "whitespace id": lambda o, key: canonical({**o, "id": " \u3000"}, ensure_ascii=False),
+    "alias code": lambda o, key: canonical({**o, "countries": o["countries"] + ["UK"]}),
+    "lowercase code": lambda o, key: canonical({**o, "countries": [c.lower() for c in o["countries"]]}),
+    "duplicate code": lambda o, key: canonical({**o, "countries": o["countries"] * 2}),
+    "unknown code": lambda o, key: canonical({**o, "countries": ["QQ"]}),
+    "empty countries": lambda o, key: canonical({**o, "countries": []}),
+    "\\u escape": lambda o, key: canonical({**o, key: "Zürich"} if key != "countries" else o),
+    "raw non-ASCII": lambda o, key: canonical({**o, "journal": "Zürich", "id": "ü-1"},
+                                              ensure_ascii=False),
+    "quote in a string": lambda o, key: canonical({**o, "field": 'a "b"'}),
+    "leading zero": lambda o, key: canonical(o).replace('"citations":', '"citations":0'),
+    "-0": lambda o, key: canonical({**o, "citations": 0}).replace('"citations":0', '"citations":-0'),
+    "year 1899": lambda o, key: canonical({**o, "year": 1899}),
+    "year 2101": lambda o, key: canonical({**o, "year": 2101}),
+    "year as a string": lambda o, key: canonical({**o, "year": str(o["year"])}),
+    "BOM": lambda o, key: "\ufeff" + canonical(o),
+    "CRLF": lambda o, key: canonical(o)[:-1] + "\r\n",
+    "no line ending": lambda o, key: canonical(o)[:-1],
+    "trailing space": lambda o, key: canonical(o)[:-1] + " \n",
+    "spaced": lambda o, key: json.dumps(o, sort_keys=True) + "\n",
+    "unsorted keys": lambda o, key: json.dumps(o, separators=(",", ":")) + "\n",
+    "extra key": lambda o, key: canonical({**o, key + "_x": 1, "aaa": None}),
+    "missing key": lambda o, key: canonical({k: v for k, v in o.items() if k != key}),
+    "null value": lambda o, key: canonical({**o, key: None}),
+    "not an object": lambda o, key: json.dumps(list(o.values())) + "\n",
+}
+KEYS = ("citations", "countries", "doctype", "field", "id", "journal", "specialty", "year")
+FAST = ("none", "duplicate code", "raw non-ASCII", "CRLF", "no line ending")
+
+
+def reference(line: str) -> PublicationRecord:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise RecordInvalid("malformed record: not an object")
+    return parse_record(obj)
+
+
+def outcome(parse, line: str):
+    try:
+        return parse(line)
+    except (ValueError, RecordInvalid) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def mutated_lines(draw):
+    obj = {
+        "id": draw(st.sampled_from(["p1", "W:000123", "a b", "x" * 40])),
+        "year": draw(st.integers(1900, 2100)),
+        "journal": draw(st.sampled_from(["Journal of Virology", "", "J. Geophys."])),
+        "field": draw(st.sampled_from(["Virology", "Seismology"])),
+        "doctype": draw(st.sampled_from(["article", "review"])),
+        "specialty": draw(st.sampled_from(["Virology", "other", ""])),
+        "countries": draw(st.lists(st.sampled_from(sorted(COUNTRY_CODES)), min_size=1,
+                                   max_size=4)),
+        "citations": draw(st.integers(0, 10 ** 12)),
+    }
+    name = draw(st.sampled_from(sorted(MUTATIONS)))
+    return name, MUTATIONS[name](obj, draw(st.sampled_from(KEYS)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_lines())
+def test_line_parser_matches_json_then_parse_record(case):
+    name, line = case
+    expected = outcome(reference, line)
+    assert outcome(lambda text: _parse_line(text)[2], line) == expected
+    if name in FAST:
+        assert corpus._CANONICAL.fullmatch(line) is not None
+    if isinstance(expected, PublicationRecord):
+        inside = (expected.specialty, expected.year)
+        assert _parse_line(line, only=inside) == (expected.id, expected.specialty, expected)
+        outside = (expected.specialty, expected.year + 1)
+        assert _parse_line(line, only=outside) == (expected.id, expected.specialty, None)
+
+
+def test_ingest_reports_non_objects_by_line(bundled_map):
+    corp = ingest([make_line(), "[1,2]", "null", "3"], bundled_map)
+    assert corp.rejections == [(f"line:{n}", "malformed record: not an object")
+                               for n in (2, 3, 4)]
+
+
+# ------------------------------------------------------- slice-only loads
+
+def slice_test_corpus(tmp_path) -> str:
+    """A saved syngen corpus, then hand-written lines: an id moved to another
+    slice, a stored specialty that a later line supersedes, one outside the
+    default labels that stays, and lines only the slow path reads."""
+    cfg = syngen.GenConfig.default(seed=5, n_papers=300)
+    records, _ = syngen.generate(cfg)
+    corp = ingest(syngen.records_jsonl(records).splitlines(), syngen.specialty_map_for(cfg))
+    path = tmp_path / "corpus.jsonl"
+    corp.save(path)
+    moved = next(r for r in corp if (r.specialty, r.year) == ("Virology", 2013))
+    extra = [
+        canonical({**moved.to_json_obj(), "year": 2008}),
+        canonical({**moved.to_json_obj(), "id": "alchemist", "specialty": "Alchemy"}),
+        json.dumps({**moved.to_json_obj(), "id": "alchemist"}) + "\n",
+        canonical({**moved.to_json_obj(), "id": "geologist", "specialty": "Geology"}),
+        json.dumps({**moved.to_json_obj(), "id": "spaced", "countries": ["uk", "US"]}) + "\n",
+    ]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines(extra)
+    return path
+
+
+def test_slice_load_equals_filtered_full_load(tmp_path):
+    path = slice_test_corpus(tmp_path)
+    full = Corpus.load(path)
+    assert "Alchemy" not in full.specialty_labels  # its only record was superseded
+    assert "Geology" in full.specialty_labels
+    for specialty in sorted(full.specialty_labels) + ["Alchemy"]:
+        for year in (2008, 2013, 1990):
+            part = Corpus.load(path, only=(specialty, year))
+            assert part.specialty_labels == full.specialty_labels
+            expected = outcome(lambda s: filter_records(full, s, year), specialty)
+            assert outcome(lambda s: filter_records(part, s, year), specialty) == expected
+            assert list(part) == (expected if isinstance(expected, list) else [])
+
+
+def test_slice_load_keeps_the_last_record_of_a_moved_id(tmp_path):
+    path = slice_test_corpus(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    moved_id = json.loads(lines[-5])["id"]
+    assert moved_id not in Corpus.load(path, only=("Virology", 2013)).records
+    assert Corpus.load(path, only=("Virology", 2008)).records[moved_id].year == 2008
+    assert "spaced" in Corpus.load(path, only=("Virology", 2013)).records
+
+
+@pytest.mark.parametrize("bad,message", [
+    (make_line(id="x", year=1875, journal="J", field="F"), "year out of range: 1875"),
+    ("[1,2]", "malformed record: not an object"),
+    ("{oops", "Expecting property name enclosed in double quotes"),
+])
+def test_slice_load_validates_lines_outside_the_slice(tmp_path, bad, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([make_line(id="a"), make_line(id="b", year=2008), bad,
+                               make_line(id="c")]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"corpus.jsonl:3: {message}"):
+        Corpus.load(path, only=("Virology", 2013))

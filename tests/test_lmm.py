@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from collabnet import lmm
 from collabnet.impact import make_observation
 from collabnet.lmm import (
     LmmFit,
@@ -152,6 +153,52 @@ def test_rank_deficient_design_names_columns():
     with pytest.raises(ValueError, match="collinear") as exc:
         fit_random_intercept(x, X, ["g"] * n, names=("intercept", "a", "b_dup"))
     assert "b_dup" in str(exc.value) or "a" in str(exc.value)
+
+
+@pytest.mark.parametrize("columns,names", [
+    (lambda x, t: [np.ones_like(x), x, 2 * x], ("intercept", "a", "b_dup")),
+    (lambda x, t: [np.ones_like(x), x, x], ("intercept", "a", "a_again")),
+    (lambda x, t: [np.ones_like(x), x, t, 3 - 2 * x + t], ("intercept", "x", "t", "mix")),
+    (lambda x, t: [np.full_like(x, 2013.0), np.ones_like(x), x], ("year", "intercept", "x")),
+    (lambda x, t: [x, np.zeros_like(x), t], ("x", "zero", "t")),
+    (lambda x, t: [np.zeros_like(x), np.zeros_like(x)], ("z1", "z2")),
+    (lambda x, t: [np.ones_like(x), x, t, 2008 + 5 * (t > 0)], ("intercept", "x", "t", "year")),
+])
+def test_rank_check_names_the_columns_a_pivoted_qr_drops(columns, names):
+    from scipy.linalg import qr
+
+    rng = np.random.default_rng(4)
+    x, t = rng.normal(size=40), rng.normal(size=40)
+    X = np.column_stack(columns(x, t))
+    _, R, piv = qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > max(X.shape) * np.finfo(float).eps * diag[0]))
+    dropped = sorted(names[j] for j in piv[rank:])
+    if dropped:
+        with pytest.raises(ValueError, match="collinear") as exc:
+            lmm._check_rank(X, names)
+        assert str(exc.value).endswith(f"collinear columns {', '.join(dropped)}")
+    else:
+        lmm._check_rank(X, names)
+
+
+def test_fminbound_port_is_bit_identical_to_scipy_bounded_search():
+    from scipy.optimize import minimize_scalar
+
+    cases = [(lambda x: (x - 0.3) ** 2 + abs(x - 0.3) ** 1.5, -2.0, 5.0),
+             (lambda x: math.cos(3 * x) + 0.1 * x, 0.0, 10.0),
+             (lambda x: x, 1.0, 2.0), (lambda x: -x, 1.0, 2.0),
+             (lambda x: math.inf if x < 0.5 else (x - 0.7) ** 4, 0.0, 1.0)]
+    for seed, per_group in ((1, 2), (3, 5)):
+        y, X, groups, _ = simulate(seed, n_groups=300, per_group=per_group)
+        cases.append((lambda psi, y=y, X=X, groups=groups: profile_deviance(y, X, groups, psi),
+                      0.0, 10.0))
+    for f, lo, hi in cases:
+        for xatol in (1e-8, 1e-5, 1e-3):
+            with np.errstate(invalid="ignore"):  # inf - inf in a parabola step
+                expected = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                           options={"xatol": xatol}).x
+            assert lmm._fminbound(f, lo, hi, xatol=xatol) == float(expected)
 
 
 def test_too_few_observations_is_an_error():

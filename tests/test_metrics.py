@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import zipf
 
 import _oracles as oracles
-from collabnet import syngen
+from collabnet import metrics, syngen
 from collabnet.corpus import ingest
 from collabnet.metrics import (
     betweenness_centrality,
@@ -260,6 +261,57 @@ def test_powerlaw_loglik_is_maximized_at_alpha_hat():
     assert fit.loglik == pytest.approx(loglik(fit.alpha), rel=1e-12)
     for delta in (-0.05, 0.05):
         assert loglik(fit.alpha + delta) < fit.loglik
+
+
+def test_zeta_port_is_bit_identical_to_scipy():
+    from scipy.special import zeta
+
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([1.0 + rng.exponential(1.5, 20000), np.linspace(1.00001, 60.0, 20000),
+                         1.0 + np.geomspace(1e-9, 1e3, 2000), [1.0, 2.0, 1e6, 0.5]])
+    ours = [metrics._zeta(x) for x in xs.tolist()]
+    assert np.array_equal(ours, zeta(xs, 1), equal_nan=True)
+
+
+def scipy_powerlaw_alpha(ks) -> float:
+    """The exponent as scipy's zeta and brentq find it, on the same score."""
+    from scipy.optimize import brentq
+    from scipy.special import zeta
+
+    mean_log = float(np.mean(np.log(ks)))
+    h = 1e-5
+
+    def score(alpha):
+        return -(math.log(zeta(alpha + h, 1)) - math.log(zeta(alpha - h, 1))) / (2 * h) - mean_log
+
+    hi = 10.0
+    while score(hi) > 0:
+        hi *= 2
+    return float(brentq(score, 1.0001, hi, xtol=1e-10))
+
+
+def test_powerlaw_alpha_is_bit_identical_to_scipy_brentq():
+    rng = np.random.Generator(np.random.Philox(21))
+    fits = 0
+    for _ in range(60):
+        ks = zipf.rvs(rng.uniform(1.4, 4.0), size=int(rng.integers(40, 2000)), random_state=rng)
+        if np.unique(ks).size < 10:
+            continue
+        assert powerlaw_fit(ks).alpha == scipy_powerlaw_alpha(ks)
+        fits += 1
+    assert fits >= 30
+
+
+def test_brentq_port_is_bit_identical_to_scipy():
+    from scipy.optimize import brentq
+
+    for f, a, b in [(lambda x: x ** 3 - 2.0, 0.0, 2.0), (math.cos, 0.0, 3.0),
+                    (lambda x: math.exp(x) - 5.0, -3.0, 4.0), (lambda x: x - 1.0, 1.0, 2.0),
+                    (lambda x: math.atan(x - 0.3) * 1e-8, -50.0, 70.0)]:
+        for xtol in (1e-12, 1e-10, 1e-4):
+            assert metrics._brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+    with pytest.raises(ValueError, match="different signs"):
+        metrics._brentq(math.cos, 0.0, 1.0, xtol=1e-10)
 
 
 def test_powerlaw_rejects_degenerate_sequences():

@@ -327,3 +327,14 @@ def test_readers_invert_exports(net, header):
     assert back.nodes == tuple(v for v in net.nodes if v in linked)  # isolates dropped
     assert back.edges == net.edges
     assert back.node_strength == {v: s for v, s in net.node_strength.items() if v in linked}
+
+
+@pytest.mark.parametrize("year", ["20x3", "2013.0", "-"])
+def test_graphml_year_must_be_an_integer(year):
+    text = graphml_text(['<node id="DE"/>', '<node id="US"/>'],
+                        ['<edge source="US" target="DE"/>'])
+    text = text.replace('edgedefault="undirected">',
+                        f'edgedefault="undirected"><data key="year">{year}</data>')
+    with pytest.raises(ValueError, match=f"""<data key="year">: year '{year}' is not an integer"""):
+        read_graphml(text)
+    assert read_graphml(text.replace(year, " 2013 ")).year == 2013
