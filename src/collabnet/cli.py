@@ -20,9 +20,9 @@ import json
 import sys
 from pathlib import Path
 
-# Standard library only; syngen, metrics and lmm load numpy, so the commands
-# that use them import them.
-from . import __version__, corpus, impact, longit, netbuild
+# Standard library only. syngen, metrics and lmm load numpy, and impact and
+# longit serve one or two commands, so the commands that use them import them.
+from . import __version__, corpus, netbuild
 
 
 class CliError(ValueError):
@@ -64,6 +64,14 @@ def _options(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
+def _read(read, path: str, *args, **kwargs):
+    """`read(path, ...)`, with the path prefixed to a ValueError's message."""
+    try:
+        return read(path, *args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _write_text(path: str, text: str) -> Path:
     p = Path(path)
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
@@ -79,20 +87,23 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-        means = {(m["field"], int(m["year"]), m["doctype"]): float(m["mean"])
-                 for m in raw["citation_model"]["means"]}
-        model = syngen.CitationModel(
-            means=means, dispersion=float(raw["citation_model"].get("dispersion", 1.5)))
-        cfg = syngen.GenConfig(
-            seed=int(raw.get("seed", args.seed)),
-            n_countries=int(raw["n_countries"]),
-            n_papers=int(raw["n_papers"]),
-            years=tuple(int(y) for y in raw["years"]),
-            countries_per_paper={int(k): float(v)
-                                 for k, v in raw["countries_per_paper"].items()},
-            attachment_strength=float(raw["attachment_strength"]),
-            citation_model=model,
-        )
+        try:
+            means = {(m["field"], int(m["year"]), m["doctype"]): float(m["mean"])
+                     for m in raw["citation_model"]["means"]}
+            model = syngen.CitationModel(
+                means=means, dispersion=float(raw["citation_model"].get("dispersion", 1.5)))
+            cfg = syngen.GenConfig(
+                seed=int(raw.get("seed", args.seed)),
+                n_countries=int(raw["n_countries"]),
+                n_papers=int(raw["n_papers"]),
+                years=tuple(int(y) for y in raw["years"]),
+                countries_per_paper={int(k): float(v)
+                                     for k, v in raw["countries_per_paper"].items()},
+                attachment_strength=float(raw["attachment_strength"]),
+                citation_model=model,
+            )
+        except KeyError as exc:
+            raise CliError(f"{args.config}: missing key {exc}") from None
     else:
         cfg = syngen.GenConfig.default(
             seed=args.seed,
@@ -184,7 +195,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _load_network(path: str, specialty: str | None, year: int | None) -> netbuild.CollabNetwork:
     p = Path(path)
     if p.suffix.lower() == ".graphml":
-        return netbuild.read_graphml(p)
+        return _read(netbuild.read_graphml, p)
     spec, yr = specialty, year
     if spec is None or yr is None:
         stem = p.stem
@@ -193,7 +204,7 @@ def _load_network(path: str, specialty: str | None, year: int | None) -> netbuil
             if tail.isdigit():
                 spec = spec if spec is not None else head
                 yr = yr if yr is not None else int(tail)
-    return netbuild.read_edgelist(p, specialty=spec or "", year=yr or 0)
+    return _read(netbuild.read_edgelist, p, specialty=spec or "", year=yr or 0)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -226,7 +237,7 @@ def _fits_from_corpus(corp: corpus.Corpus, scores: dict[str, float],
                       specialty: str | None, whole: list | None) -> dict[str, lmm.LmmFit]:
     """One fit per specialty plus "All Fields" on `whole`, the observations
     of the whole corpus; or one fit for the given specialty."""
-    from . import lmm
+    from . import impact, lmm
 
     def observations(label: str) -> list:
         return impact.build_observations([r for r in corp if r.specialty == label], scores)
@@ -251,13 +262,13 @@ def _fits_from_corpus(corp: corpus.Corpus, scores: dict[str, float],
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    from . import lmm
+    from . import impact, lmm
 
     outputs: list[Path] = []
     if args.input.endswith(".csv"):
         if args.observations_out:
             raise CliError("--observations-out needs a corpus input")
-        observations = impact.read_observations(args.input)
+        observations = _read(impact.read_observations, args.input)
         fits = {args.specialty or "model": lmm.fit(observations)}
     else:
         corp = corpus.Corpus.load(args.input)
@@ -281,7 +292,9 @@ def cmd_regress(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- trends
 
 def cmd_trends(args: argparse.Namespace) -> int:
-    rows = longit.read_stats_csv(args.input)
+    from . import longit
+
+    rows = _read(longit.read_stats_csv, args.input)
     series = longit.series_from_stats(rows)
     text = longit.format_change_table(series) if args.table2 else longit.trends_csv(series)
     if args.out == "-":

@@ -227,7 +227,7 @@ class Corpus:
                 continue
             try:
                 rid, specialty, rec = _parse_line(line, only)
-            except (json.JSONDecodeError, RecordInvalid) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
             latest[rid] = (specialty, rec)
         records = {rid: rec for rid, (_, rec) in latest.items() if rec is not None}
@@ -251,7 +251,8 @@ def _parse_line(line: str, only: tuple[str, int] | None = None
     `only=(specialty, year)` is given and the line lies outside that slice.
 
     The record is `parse_record(json.loads(line))`, and so are the
-    exceptions, plus a RecordInvalid for a line that is not an object. A
+    exceptions, plus a RecordInvalid for a line that is not an object and a
+    plain ValueError for an integer past Python's int-string digit limit. A
     canonical line whose values all pass validation is read by one regex
     match instead. Its codes are ISO codes, which normalization leaves as
     they are.
@@ -260,14 +261,14 @@ def _parse_line(line: str, only: tuple[str, int] | None = None
     if m is not None:
         citations, codes, doctype, field_, rid, journal, specialty, year = m.groups()
         countries = codes.split('","')
-        year = int(year)
+        year, citations = int(year), int(citations)  # both may pass the digit limit
         if rid.strip() and YEAR_MIN <= year <= YEAR_MAX and COUNTRY_CODES.issuperset(countries):
             if only is not None and (specialty, year) != only:
                 return rid, specialty, None
             return rid, specialty, PublicationRecord(
                 id=rid, year=year, journal=journal, specialty=specialty, field=field_,
                 doctype=doctype, countries=tuple(sorted(set(countries))),
-                citations=int(citations))
+                citations=citations)
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise RecordInvalid("malformed record: not an object")
@@ -294,12 +295,12 @@ def ingest(source, smap: SpecialtyMap) -> Corpus:
             continue
         try:
             rec = _parse_line(line)[2]
-        except json.JSONDecodeError as exc:
-            rejections.append((f"line:{n}", f"malformed record: {exc.msg}"))
-            continue
         except RecordInvalid as exc:
             rid = exc.record_id
             rejections.append((str(rid) if rid else f"line:{n}", exc.reason))
+            continue
+        except ValueError as exc:  # bad JSON, or an integer past the int-string digit limit
+            rejections.append((f"line:{n}", f"malformed record: {getattr(exc, 'msg', exc)}"))
             continue
         rec = replace(rec, specialty=smap.resolve(rec.journal) or OTHER_SPECIALTY)
         if rec.id in records:

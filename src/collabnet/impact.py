@@ -131,15 +131,37 @@ def write_observations(observations: Iterable[ComboObservation],
 
 
 def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservation]:
+    """Read an observation CSV as `write_observations` writes it.
+
+    A missing column, a short row, a cell that is not an integer or a finite
+    number, or a `country_count` other than the number of countries in
+    `combo_id` is a ValueError naming the line.
+    """
+    reader = csv.DictReader(_iter_lines(source))
+    missing = [c for c in OBSERVATION_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"line 1: missing column(s) {', '.join(missing)}")
     out = []
-    for row in csv.DictReader(_iter_lines(source)):
-        combo = tuple(row["combo_id"].split("-"))
-        out.append(ComboObservation(
-            combo_id=combo,
-            year=int(row["year"]),
-            country_count=int(row["country_count"]),
-            publication_count=int(row["publication_count"]),
-            mean_fwci=float(row["mean_fwci"]),
-            log_fwci=float(row["log_fwci"]),
-        ))
+    for row in reader:
+        where = f"line {reader.line_num}"
+        if None in row.values():
+            raise ValueError(f"{where}: expected {len(reader.fieldnames)} columns")
+        try:
+            ob = ComboObservation(
+                combo_id=tuple(row["combo_id"].split("-")),
+                year=int(row["year"]),
+                country_count=int(row["country_count"]),
+                publication_count=int(row["publication_count"]),
+                mean_fwci=float(row["mean_fwci"]),
+                log_fwci=float(row["log_fwci"]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not (math.isfinite(ob.mean_fwci) and math.isfinite(ob.log_fwci)):
+            raise ValueError(f"{where}: mean_fwci {ob.mean_fwci!r} and log_fwci "
+                             f"{ob.log_fwci!r} must be finite")
+        if ob.country_count != len(ob.combo_id):
+            raise ValueError(f"{where}: country_count {ob.country_count} but combo_id "
+                             f"{ob.combo_key} has {len(ob.combo_id)} countries")
+        out.append(ob)
     return out

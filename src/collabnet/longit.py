@@ -122,18 +122,26 @@ def convergence(series_list: Sequence[TrendSeries]) -> ConvergenceResult:
                              non_monotone=frozenset(flagged))
 
 
+_STATS_TYPES = (
+    *((col, int) for col in ("year", "nodes", "edges", "diameter", "components")),
+    *((col, float) for col in ("avg_degree", "density", "betweenness_centralization",
+                               "transitivity", "avg_local_clustering", "alpha")),
+)
+
+
 def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
-    """Read stats rows back as dicts; blank cells become None."""
+    """Read stats rows back as dicts; blank cells become None. A cell that
+    does not parse is a ValueError naming its line and column."""
     out = []
-    for row in csv.DictReader(_iter_lines(source)):
+    reader = csv.DictReader(_iter_lines(source))
+    for row in reader:
         parsed: dict = {"specialty": row.get("specialty", "")}
-        for col in ("year", "nodes", "edges", "diameter", "components"):
+        for col, kind in _STATS_TYPES:
             raw = row.get(col)
-            parsed[col] = int(raw) if raw not in (None, "") else None
-        for col in ("avg_degree", "density", "betweenness_centralization",
-                    "transitivity", "avg_local_clustering", "alpha"):
-            raw = row.get(col)
-            parsed[col] = float(raw) if raw not in (None, "") else None
+            try:
+                parsed[col] = kind(raw) if raw not in (None, "") else None
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: column {col}: {exc}") from None
         out.append(parsed)
     return out
 

@@ -217,8 +217,10 @@ def powerlaw_fit(degrees: Iterable[int]) -> PowerlawFit:
     """Discrete maximum-likelihood exponent for P(k) ~ k^-alpha, k_min = 1
     (Clauset, Shalizi and Newman 2009, SIAM Rev. 51(4)).
 
-    Solves d/d(alpha) of the zeta log-likelihood for the root; requires a
-    spread-out positive degree sequence (at least 10 distinct values).
+    Solves the score -zeta'(alpha)/zeta(alpha) - mean(ln k) = 0, which
+    decreases in alpha, by Newton steps with the exact derivative, falling
+    back to bisection when a step leaves the bracket; requires a spread-out
+    positive degree sequence (at least 10 distinct values).
     """
     ks = np.asarray(list(degrees), dtype=np.int64)
     if ks.size == 0 or np.any(ks < 1):
@@ -230,118 +232,64 @@ def powerlaw_fit(degrees: Iterable[int]) -> PowerlawFit:
         raise ValueError(f"no power-law support: only {distinct.size} distinct degrees")
     mean_log = float(np.mean(np.log(ks)))
 
-    h = 1e-5
-
-    def score(alpha: float) -> float:
-        log_zeta_deriv = (math.log(_zeta(alpha + h)) - math.log(_zeta(alpha - h))) / (2 * h)
-        return -log_zeta_deriv - mean_log
+    def score(alpha: float) -> tuple[float, float]:
+        """The score and its derivative (zeta'^2 - zeta'' zeta) / zeta^2."""
+        z, dz, d2z = _zeta_derivs(alpha)
+        return -dz / z - mean_log, (dz * dz - d2z * z) / (z * z)
 
     lo, hi = 1.0001, 10.0
-    while score(hi) > 0:
+    while score(hi)[0] > 0:
         hi *= 2
         if hi > 1e6:
             raise ValueError("no power-law support: degree spread too small")
-    alpha = _brentq(score, lo, hi, xtol=1e-10)
-    loglik = float(-alpha * np.sum(np.log(ks)) - ks.size * math.log(_zeta(alpha)))
+    # start from the continuous approximation 1 + 1/mean(ln(k / (k_min - 1/2)))
+    alpha = min(max(1.0 + 1.0 / (mean_log + math.log(2.0)), lo), hi)
+    for _ in range(100):
+        s, ds = score(alpha)
+        step = s / ds
+        if abs(step) <= 1e-12 * alpha:  # the error after this step is O(step^2)
+            alpha -= step
+            break
+        lo, hi = (alpha, hi) if s > 0 else (lo, alpha)
+        alpha = alpha - step if lo < alpha - step < hi else 0.5 * (lo + hi)
+    else:
+        raise RuntimeError("power-law fit did not converge in 100 steps")
+    loglik = float(-alpha * np.sum(np.log(ks)) - ks.size * math.log(_zeta_derivs(alpha)[0]))
     return PowerlawFit(alpha=alpha, loglik=loglik)
 
 
-# Euler-Maclaurin coefficients (2k)!/B_2k of Cephes zeta.c.
+# Euler-Maclaurin coefficients (2j)!/B_2j, as in Cephes zeta.c.
 _ZETA_A = (
     12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
     -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
     1.1646782814350067249e14, -4.5979787224074726105e15,
     1.8152105401943546773e17, -7.1661652561756670113e18,
 )
-_MACHEP = 1.11022302462515654042e-16
 
 
-def _zeta(x: float) -> float:
-    """Riemann zeta(x) for x > 1, computed as Hurwitz zeta(x, 1).
+def _zeta_derivs(x: float) -> tuple[float, float, float]:
+    """(zeta(x), zeta'(x), zeta''(x)) of the Riemann zeta function, x > 1.
 
-    An operation-for-operation port of Cephes zeta.c (Moshier) as SciPy
-    ships it, so it returns the bits of `scipy.special.zeta(x, 1)`: a direct
-    sum of at least 10 terms, then an Euler-Maclaurin tail.
+    A direct sum over k <= N = 10, then the Euler-Maclaurin tail at N:
+    N^-x * q(x) with q = N/(x-1) - 1/2 + sum_{j=1..12} (x)_(2j-1) N^(1-2j) / _ZETA_A[j-1],
+    where (x)_m is the rising factorial. The tail is differentiated in x by
+    the product rule, q' and q'' riding along with q.
     """
-    if x == 1.0:
-        return math.inf
-    if x < 1.0:
-        return math.nan
-    s = 1.0
-    a = 1.0
-    i = 0
-    b = 0.0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = math.pow(a, -x)
-        s += b
-        if abs(b / s) < _MACHEP:
-            return s
-    w = a
-    s += b * w / (x - 1.0)
-    s -= 0.5 * b
-    a = 1.0
-    k = 0.0
-    for coef in _ZETA_A:
-        a *= x + k
-        b /= w
-        t = a * b / coef
-        s = s + t
-        if abs(t / s) < _MACHEP:
-            return s
-        k += 1.0
-        a *= x + k
-        b /= w
-        k += 1.0
-    return s
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method.
-
-    An operation-for-operation port of SciPy's Zeros/brentq.c (BSD-3), with
-    its default rtol and maxiter, so it returns the bits of
-    `scipy.optimize.brentq`.
-    """
-    rtol, maxiter = 4 * 2.220446049250313e-16, 100
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
+    z = dz = d2z = 0.0
+    for k in range(1, 11):
+        lk, b = math.log(k), k ** -x
+        z, dz, d2z = z + b, dz - lk * b, d2z + lk * lk * b
+    n, u = 10.0, 1.0 / (x - 1.0)
+    q, dq, d2q = n * u - 0.5, -n * u * u, 2.0 * n * u ** 3
+    p, dp, d2p, scale = 1.0, 0.0, 0.0, 1.0  # the rising factorial and N^-(k+1)
+    for k in range(2 * len(_ZETA_A) - 1):
+        p, dp, d2p = p * (x + k), dp * (x + k) + p, d2p * (x + k) + 2.0 * dp
+        scale /= n
+        if k % 2 == 0:
+            c = scale / _ZETA_A[k // 2]
+            q, dq, d2q = q + p * c, dq + dp * c, d2q + d2p * c
+    b, ln = n ** -x, math.log(n)
+    return z + b * q, dz + b * (dq - ln * q), d2z + b * (d2q - 2.0 * ln * dq + ln * ln * q)
 
 
 def compute_stats(net: CollabNetwork, fit_powerlaw: bool = False) -> NetworkStats:

@@ -311,13 +311,17 @@ def read_graphml(source: str | Path) -> CollabNetwork:
     A `<node>` without an id or declared twice is a ValueError naming its
     1-based `<node>` index; any edge `_network` rejects, one naming its
     1-based `<edge>` index; a graph year that is not an integer, one naming
-    its `<data key="year">`. A `<data>` element present but empty is invalid.
+    its `<data key="year">`; text that is not well-formed XML, one naming the
+    line and column where parsing stopped. A `<data>` element present but
+    empty is invalid.
     """
-    if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("<")):
-        tree = ElementTree.parse(source)
-        root = tree.getroot()
-    else:
-        root = ElementTree.fromstring(source)
+    try:
+        if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("<")):
+            root = ElementTree.parse(source).getroot()
+        else:
+            root = ElementTree.fromstring(source)
+    except ElementTree.ParseError as exc:  # its text ends with the line and column
+        raise ValueError(f"not well-formed XML: {exc}") from None
     graph = root.find(f"{_GML_NS}graph")
     if graph is None:
         raise ValueError("no <graph> element found")

@@ -130,6 +130,97 @@ def test_graphml_year_that_is_not_an_integer_exits_one(workdir, capsys, command)
     assert not (workdir / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "export"])
+def test_graphml_that_is_not_well_formed_xml_exits_one(workdir, capsys, command):
+    (workdir / "bad.graphml").write_text("<graphml><graph>")
+    assert run(command, "--input", "bad.graphml", "--out", "out.csv") == 1
+    err = capsys.readouterr().err
+    assert "bad.graphml: not well-formed XML: no element found: line 1, column 16" in err
+    assert not (workdir / "out.csv").exists()
+
+
+def test_stats_names_the_file_of_a_bad_network(workdir, capsys):
+    (workdir / "good.csv").write_text("US,DE\nDE,FR\nFR,GB\n")
+    (workdir / "bad.csv").write_text("US,DE\nDE,FR\nFR,GB\nFR,FR\n")
+    assert run("stats", "--input", "good.csv", "bad.csv", "--out", "stats.csv") == 1
+    assert "error: bad.csv: line 4: self-loop FR-FR" in capsys.readouterr().err
+    assert not (workdir / "stats.csv").exists()
+
+
+def huge_citation_lines(workdir) -> list[str]:
+    """A good corpus line, then the same record with a 5000-digit citation
+    count, once canonical (the regex path) and once spaced (json.loads)."""
+    good = gen_corpus(workdir, n_papers=50).read_text().splitlines()[0]
+    obj = json.loads(good)
+    head, _, tail = good.partition(f'"citations":{obj["citations"]}')
+    canonical = head + '"citations":' + "9" * 5000 + tail
+    spaced = json.dumps({**obj, "id": "huge"}).replace(
+        f'"citations": {obj["citations"]}', '"citations": ' + "9" * 5000)
+    return [good, canonical, spaced]
+
+
+def test_ingest_rejects_an_integer_past_the_digit_limit_by_line(workdir):
+    (workdir / "huge.jsonl").write_text("\n".join(huge_citation_lines(workdir)) + "\n")
+    assert run("ingest", "--input", "huge.jsonl", "--map", "map.csv", "--out", "c.jsonl") == 0
+    rejections = (workdir / "c.jsonl.rejections.csv").read_text().splitlines()
+    assert [row.partition(",")[0] for row in rejections] == ["id", "line:2", "line:3"]
+    for row in rejections[1:]:
+        assert row.partition(",")[2].startswith("malformed record: Exceeds the limit (4300 digits)")
+    assert len((workdir / "c.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_build_names_the_line_of_an_integer_past_the_digit_limit(workdir, capsys, which):
+    # the record lies outside the built slice, which is validated all the same
+    lines = huge_citation_lines(workdir)
+    (workdir / "huge.jsonl").write_text(lines[0] + "\n" + lines[which] + "\n")
+    assert run("build", "--input", "huge.jsonl", "--specialty", "Virology",
+               "--year", "2013", "--out", "net.csv") == 1
+    assert "error: huge.jsonl:2: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+    assert not (workdir / "net.csv").exists()
+
+
+OBSERVATIONS = "combo_id,year,country_count,publication_count,mean_fwci,log_fwci\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (OBSERVATIONS + "DE-US,2013,2,1,1.5,0.47\nDE-FR,2013,2,3,1.0,nan\n",
+     "line 3: mean_fwci 1.0 and log_fwci nan must be finite"),
+    (OBSERVATIONS + "DE-US,2013,2,1,inf,inf\n",
+     "line 2: mean_fwci inf and log_fwci inf must be finite"),
+    (OBSERVATIONS.replace("combo_id,", "") + "2013,2,1,1.5,0.47\n",
+     "line 1: missing column(s) combo_id"),
+    (OBSERVATIONS + "DE-US,2013,3,1,1.5,0.47\n",
+     "line 2: country_count 3 but combo_id DE-US has 2 countries"),
+    (OBSERVATIONS + "DE-US,2013,2,1,1.5,0.47\nDE-FR,2013,2\n", "line 3: expected 6 columns"),
+], ids=["nan", "inf", "missing-column", "country-count", "short-row"])
+def test_regress_rejects_a_bad_observation_csv_by_line(workdir, capsys, text, message):
+    (workdir / "obs.csv").write_text(text)
+    assert run("regress", "--input", "obs.csv", "--out", "report.txt") == 1
+    assert f"error: obs.csv: {message}" in capsys.readouterr().err
+    assert not (workdir / "report.txt").exists()
+
+
+def test_trends_names_the_line_and_column_of_a_bad_cell(workdir, capsys):
+    (workdir / "sizes.csv").write_text(
+        "specialty,year,nodes,edges,diameter\n"
+        "Soil Science,1990,40,66,5\n"
+        "Soil Science,2000,1.5,247,5\n")
+    assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
+    assert ("error: sizes.csv: line 3: column nodes: invalid literal for int() with base 10: '1.5'"
+            in capsys.readouterr().err)
+    assert not (workdir / "trends.csv").exists()
+
+
+def test_gen_config_names_a_missing_key(workdir, capsys):
+    (workdir / "cfg.json").write_text(json.dumps({
+        "n_countries": 20, "n_papers": 50, "years": [2013], "attachment_strength": 0.5,
+        "countries_per_paper": {"1": 0.5, "2": 0.5}}))
+    assert run("gen", "--seed", "1", "--config", "cfg.json", "--out", "raw.jsonl") == 1
+    assert "error: cfg.json: missing key 'citation_model'" in capsys.readouterr().err
+    assert not (workdir / "raw.jsonl").exists()
+
+
 def test_every_output_has_a_manifest(workdir):
     gen_corpus(workdir)
     for out in ("raw.jsonl", "corpus.jsonl"):
@@ -267,30 +358,37 @@ def test_build_no_header_flag(workdir):
     assert not first.startswith("source,target")
 
 
-# Run in a fresh interpreter: which numpy/scipy modules each step has loaded.
-# No command loads scipy; only stats and regress load numpy.
+# Run in a fresh interpreter: the collabnet modules and the numpy/scipy
+# packages loaded by importing the CLI and then running one command.
 IMPORT_PROBE = """
 import json, sys
 
-def heavy():
-    return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
-
 import collabnet.cli
-out = {"import": heavy()}
-out["light_exits"] = [collabnet.cli.main(argv) for argv in (
-    ["ingest", "--input", "raw.jsonl", "--map", "map.csv", "--out", "fresh.jsonl"],
-    ["build", "--input", "fresh.jsonl", "--specialty", "Virology", "--year", "2013",
-     "--out", "fresh.csv"],
-    ["trends", "--input", "stats.csv", "--out", "trends.csv"],
-)]
-out["light"] = heavy()
-out["heavy_exits"] = [collabnet.cli.main(argv) for argv in (
-    ["stats", "--input", "fresh.csv", "--powerlaw", "--out", "fresh-stats.csv"],
-    ["regress", "--input", "fresh.jsonl", "--out", "report.txt"],
-)]
-out["heavy"] = heavy()
-print(json.dumps(out))
+argv = json.loads(sys.argv[1])
+code = collabnet.cli.main(argv) if argv else None
+loaded = [m for m in sys.modules if m.partition(".")[0] in ("collabnet", "numpy", "scipy")]
+print(json.dumps([code, sorted({m.partition(".")[0] for m in loaded} - {"collabnet"}),
+                  sorted(m for m in loaded if m.startswith("collabnet"))]))
 """
+
+CLI_MODULES = ["collabnet", "collabnet.cli", "collabnet.corpus", "collabnet.countries",
+               "collabnet.netbuild"]
+
+
+# (command line, numpy/scipy packages, collabnet modules beyond CLI_MODULES)
+COMMAND_MODULES = [
+    ([], [], []),
+    (["ingest", "--input", "raw.jsonl", "--map", "map.csv", "--out", "fresh.jsonl"], [], []),
+    (["build", "--input", "corpus.jsonl", "--specialty", "Virology", "--year", "2013",
+      "--out", "fresh.csv"], [], []),
+    (["export", "--input", "Virology-2013.csv", "--out", "fresh.graphml"], [], []),
+    (["trends", "--input", "stats.csv", "--out", "trends.csv"], [], ["longit"]),
+    # metrics re-exports longit's stats CSV reader
+    (["stats", "--input", "Virology-2013.csv", "--powerlaw", "--out", "fresh-stats.csv"],
+     ["numpy"], ["longit", "metrics"]),
+    (["regress", "--input", "corpus.jsonl", "--out", "report.txt"], ["numpy"], ["impact", "lmm"]),
+    (["gen", "--seed", "1", "--n-papers", "20", "--out", "gen.jsonl"], ["numpy"], ["syngen"]),
+]
 
 
 def test_light_commands_load_no_numpy_or_scipy(workdir):
@@ -301,12 +399,10 @@ def test_light_commands_load_no_numpy_or_scipy(workdir):
     assert run("stats", "--input", "Virology-2008.csv", "Virology-2013.csv",
                "--out", "stats.csv") == 0
     env = dict(os.environ, PYTHONPATH=str(Path(collabnet.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=workdir, env=env,
-                          capture_output=True, text=True, check=True)
-    out = json.loads(proc.stdout)
-    assert out["import"] == []
-    assert out["light_exits"] == [0, 0, 0]
-    assert out["light"] == []
-    assert out["heavy_exits"] == [0, 0]
-    assert "numpy" in out["heavy"]
-    assert [m for m in out["heavy"] if m.startswith("scipy")] == []
+    for argv, heavy, extra in COMMAND_MODULES:
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+                              cwd=workdir, env=env, capture_output=True, text=True, check=True)
+        code, loaded_heavy, modules = json.loads(proc.stdout)
+        assert code == (0 if argv else None), argv
+        assert loaded_heavy == heavy, argv  # never scipy
+        assert modules == sorted(CLI_MODULES + [f"collabnet.{m}" for m in extra]), argv

@@ -263,55 +263,85 @@ def test_powerlaw_loglik_is_maximized_at_alpha_hat():
         assert loglik(fit.alpha + delta) < fit.loglik
 
 
-def test_zeta_port_is_bit_identical_to_scipy():
-    from scipy.special import zeta
-
-    rng = np.random.default_rng(3)
-    xs = np.concatenate([1.0 + rng.exponential(1.5, 20000), np.linspace(1.00001, 60.0, 20000),
-                         1.0 + np.geomspace(1e-9, 1e3, 2000), [1.0, 2.0, 1e6, 0.5]])
-    ours = [metrics._zeta(x) for x in xs.tolist()]
-    assert np.array_equal(ours, zeta(xs, 1), equal_nan=True)
-
-
-def scipy_powerlaw_alpha(ks) -> float:
-    """The exponent as scipy's zeta and brentq find it, on the same score."""
-    from scipy.optimize import brentq
-    from scipy.special import zeta
-
-    mean_log = float(np.mean(np.log(ks)))
-    h = 1e-5
-
-    def score(alpha):
-        return -(math.log(zeta(alpha + h, 1)) - math.log(zeta(alpha - h, 1))) / (2 * h) - mean_log
-
-    hi = 10.0
-    while score(hi) > 0:
-        hi *= 2
-    return float(brentq(score, 1.0001, hi, xtol=1e-10))
+def powerlaw_samples(seed: int, count: int) -> list[np.ndarray]:
+    """Zipf samples with at least 10 distinct values, exponents 1.2 to 4."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = []
+    while len(out) < count:
+        ks = zipf.rvs(rng.uniform(1.2, 4.0), size=int(rng.integers(30, 3000)), random_state=rng)
+        if np.unique(ks).size >= 10:
+            out.append(ks)
+    return out
 
 
-def test_powerlaw_alpha_is_bit_identical_to_scipy_brentq():
-    rng = np.random.Generator(np.random.Philox(21))
-    fits = 0
-    for _ in range(60):
-        ks = zipf.rvs(rng.uniform(1.4, 4.0), size=int(rng.integers(40, 2000)), random_state=rng)
-        if np.unique(ks).size < 10:
-            continue
-        assert powerlaw_fit(ks).alpha == scipy_powerlaw_alpha(ks)
-        fits += 1
-    assert fits >= 30
+def snapshot_degrees(seed: int, n_papers: int, n_countries: int) -> list[list[int]]:
+    """The nonzero degree sequence of every (specialty, year) snapshot."""
+    cfg = syngen.GenConfig.default(seed=seed, n_papers=n_papers, n_countries=n_countries)
+    records, _ = syngen.generate(cfg)
+    corp = ingest(records_jsonl(records).splitlines(), specialty_map_for(cfg))
+    out = []
+    for spec in sorted(specialty_map_for(cfg).universe):
+        for year in cfg.years:
+            net = build_network([r for r in corp if r.specialty == spec and r.year == year])
+            out.append([d for d in degree_stats(net)[0].values() if d > 0])
+    return out
 
 
-def test_brentq_port_is_bit_identical_to_scipy():
-    from scipy.optimize import brentq
+def test_powerlaw_alpha_matches_mpmath_root():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
 
-    for f, a, b in [(lambda x: x ** 3 - 2.0, 0.0, 2.0), (math.cos, 0.0, 3.0),
-                    (lambda x: math.exp(x) - 5.0, -3.0, 4.0), (lambda x: x - 1.0, 1.0, 2.0),
-                    (lambda x: math.atan(x - 0.3) * 1e-8, -50.0, 70.0)]:
-        for xtol in (1e-12, 1e-10, 1e-4):
-            assert metrics._brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
-    with pytest.raises(ValueError, match="different signs"):
-        metrics._brentq(math.cos, 0.0, 1.0, xtol=1e-10)
+    def mpmath_alpha(ks, start: float) -> float:
+        mean_log = mpmath.fsum(mpmath.log(int(k)) for k in ks) / len(ks)
+        return float(mpmath.findroot(
+            lambda a: -mpmath.zeta(a, 1, 1) / mpmath.zeta(a) - mean_log, start))
+
+    samples = powerlaw_samples(21, 30) + snapshot_degrees(1, 10_000, 60)  # cli-chain's corpus
+    assert len(samples) == 42
+    for ks in samples:
+        alpha = powerlaw_fit(ks).alpha
+        assert alpha == pytest.approx(mpmath_alpha(ks, alpha), rel=1e-13, abs=0)
+
+
+def test_zeta_derivs_at_known_values():
+    z2, z4 = metrics._zeta_derivs(2.0)[0], metrics._zeta_derivs(4.0)[0]
+    assert z2 == pytest.approx(math.pi ** 2 / 6, rel=1e-15, abs=0)
+    assert z4 == pytest.approx(math.pi ** 4 / 90, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("x", [2.0, 2.5, 3.3, 5.0, 9.0])
+def test_zeta_derivs_within_direct_sum_bounds(x):
+    # sum_{k <= K} (-ln k)^m k^-x plus the tail sum_{k > K}, which for these
+    # terms (decreasing in k beyond K) lies between the integrals from K + 1
+    # and from K of (ln t)^m t^-x dt
+    K = 1_000_000
+    ks = np.arange(1, K + 1, dtype=float)
+    log_k, powers = np.log(ks), ks ** -x
+
+    def tail_integral(t: float, m: int) -> float:
+        v = 1.0 / (x - 1.0)
+        lt = math.log(t)
+        return t ** (1.0 - x) * (v, lt * v + v * v, lt * lt * v + 2 * lt * v * v + 2 * v ** 3)[m]
+
+    for m, got in enumerate(metrics._zeta_derivs(x)):
+        sign = (-1.0) ** m
+        head = sign * math.fsum((log_k ** m * powers).tolist())
+        bounds = sorted(head + sign * tail_integral(t, m) for t in (K + 1.0, float(K)))
+        slack = 1e-15 * abs(got)
+        assert bounds[0] - slack <= got <= bounds[1] + slack
+
+
+def test_powerlaw_fit_converges_at_large_alpha():
+    # almost every degree is 1, so the fitted exponent is large
+    ks = [1] * 100_000 + list(range(2, 12))
+    alpha = powerlaw_fit(ks).alpha
+    assert 10.0 < alpha < 20.0
+    # the score equation sum ln k k^-alpha / sum k^-alpha = mean ln k, by direct sums
+    k = np.arange(1, 1001, dtype=float)
+    weights = (k ** -alpha).tolist()
+    mean_log = math.fsum(math.log(v) for v in ks) / len(ks)
+    assert math.fsum((np.log(k) * k ** -alpha).tolist()) / math.fsum(weights) == \
+        pytest.approx(mean_log, rel=1e-12, abs=0)
 
 
 def test_powerlaw_rejects_degenerate_sequences():
