@@ -145,7 +145,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     smap = (corpus.SpecialtyMap.bundled() if args.map is None
-            else corpus.SpecialtyMap.from_csv(args.map))
+            else _read(corpus.SpecialtyMap.from_csv, args.map))
     source = sys.stdin if args.input == "-" else args.input
     result = corpus.ingest(source, smap)
     result.save(args.out)

@@ -17,10 +17,12 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from sys import intern
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .countries import COUNTRY_CODES, is_known_country, normalize_country
 
@@ -60,7 +62,7 @@ class RecordInvalid(ValueError):
         self.record_id = record_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
     """One publication with its country set and citation count."""
 
@@ -127,16 +129,16 @@ class SpecialtyMap:
     @classmethod
     def from_csv(cls, source: str | Path | Iterable[str],
                  universe: Iterable[str] | None = None) -> "SpecialtyMap":
-        """Load a two-column `journal,specialty` CSV (header optional)."""
-        rows = list(csv.reader(_iter_lines(source)))
-        if rows and [c.strip().lower() for c in rows[0][:2]] == ["journal", "specialty"]:
-            rows = rows[1:]
+        """Load a two-column `journal,specialty` CSV (header optional); errors name the line."""
+        reader = csv.reader(_iter_lines(source))
         entries = {}
-        for row in rows:
-            if not row or not "".join(row).strip():
+        for i, row in enumerate(reader):
+            if not row or not "".join(row).strip() or (
+                    i == 0 and [c.strip().lower() for c in row[:2]] == ["journal", "specialty"]):
                 continue
             if len(row) < 2:
-                raise ValueError(f"specialty map row needs two columns: {row!r}")
+                raise ValueError(f"line {reader.line_num}: specialty map row needs two "
+                                 f"columns: {row!r}")
             entries[row[0]] = row[1].strip()
         if universe is None:
             universe = sorted(set(entries.values()))
@@ -184,25 +186,27 @@ def parse_record(obj: dict) -> PublicationRecord:
         specialty=str(obj.get("specialty", "") or ""),
         field=str(obj.get("field", "") or ""),
         doctype=str(obj.get("doctype", "") or ""),
-        countries=tuple(sorted(set(codes))),
+        countries=tuple(sorted(set(map(intern, codes)))),  # one string per code, not per record
         citations=citations,
     )
 
 
 @dataclass
 class Corpus:
-    """Validated records keyed by id, plus the ingestion rejection report."""
+    """Validated records (read-only, keyed and ordered by id) plus the rejection report."""
 
-    records: dict[str, PublicationRecord] = field(default_factory=dict)
+    records: Mapping[str, PublicationRecord] = field(default_factory=dict)
     rejections: list[tuple[str, str]] = field(default_factory=list)
     specialty_labels: frozenset[str] = frozenset(DEFAULT_SPECIALTIES) | {OTHER_SPECIALTY}
+
+    def __post_init__(self):  # sort the keys: sorting items allocates a tuple per record
+        self.records = MappingProxyType({rid: self.records[rid] for rid in sorted(self.records)})
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[PublicationRecord]:
-        for rid in sorted(self.records):
-            yield self.records[rid]
+        return iter(self.records.values())
 
     def save(self, path: str | Path) -> None:
         """Write the canonical JSONL form: sorted by id, compact, LF."""
@@ -245,7 +249,7 @@ def _iter_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
         yield from source
 
 
-def _parse_line(line: str, only: tuple[str, int] | None = None
+def _parse_line(line: str, only: tuple[str, int] | None = None, smap: SpecialtyMap | None = None
                 ) -> tuple[str, str, PublicationRecord | None]:
     """(id, specialty, record) of one corpus line; the record is None when
     `only=(specialty, year)` is given and the line lies outside that slice.
@@ -255,7 +259,7 @@ def _parse_line(line: str, only: tuple[str, int] | None = None
     plain ValueError for an integer past Python's int-string digit limit. A
     canonical line whose values all pass validation is read by one regex
     match instead. Its codes are ISO codes, which normalization leaves as
-    they are.
+    they are. With `smap`, the specialty is resolved from the journal.
     """
     m = _CANONICAL.fullmatch(line)
     if m is not None:
@@ -263,15 +267,19 @@ def _parse_line(line: str, only: tuple[str, int] | None = None
         countries = codes.split('","')
         year, citations = int(year), int(citations)  # both may pass the digit limit
         if rid.strip() and YEAR_MIN <= year <= YEAR_MAX and COUNTRY_CODES.issuperset(countries):
+            if smap is not None:
+                specialty = smap.resolve(journal) or OTHER_SPECIALTY
             if only is not None and (specialty, year) != only:
                 return rid, specialty, None
             return rid, specialty, PublicationRecord(
                 id=rid, year=year, journal=journal, specialty=specialty, field=field_,
-                doctype=doctype, countries=tuple(sorted(set(countries))),
+                doctype=doctype, countries=tuple(sorted(set(map(intern, countries)))),
                 citations=citations)
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise RecordInvalid("malformed record: not an object")
+    if smap is not None:
+        obj["specialty"] = smap.resolve(str(obj.get("journal", "") or "")) or OTHER_SPECIALTY
     try:
         rec = parse_record(obj)
     except RecordInvalid as exc:
@@ -294,7 +302,7 @@ def ingest(source, smap: SpecialtyMap) -> Corpus:
         if not line.strip():
             continue
         try:
-            rec = _parse_line(line)[2]
+            rec = _parse_line(line, smap=smap)[2]
         except RecordInvalid as exc:
             rid = exc.record_id
             rejections.append((str(rid) if rid else f"line:{n}", exc.reason))
@@ -302,7 +310,6 @@ def ingest(source, smap: SpecialtyMap) -> Corpus:
         except ValueError as exc:  # bad JSON, or an integer past the int-string digit limit
             rejections.append((f"line:{n}", f"malformed record: {getattr(exc, 'msg', exc)}"))
             continue
-        rec = replace(rec, specialty=smap.resolve(rec.journal) or OTHER_SPECIALTY)
         if rec.id in records:
             rejections.append((rec.id, "superseded by later record with same id"))
         records[rec.id] = rec
@@ -319,7 +326,7 @@ def filter_records(corpus: Corpus, specialty: str, year: int) -> list[Publicatio
     if specialty not in corpus.specialty_labels:
         valid = ", ".join(sorted(corpus.specialty_labels))
         raise ValueError(f"unknown specialty {specialty!r}; valid labels: {valid}")
-    return [r for r in corpus if r.specialty == specialty and r.year == year]
+    return [r for r in corpus.records.values() if r.specialty == specialty and r.year == year]
 
 
 def write_rejections(rejections: Iterable[tuple[str, str]], path: str | Path) -> None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import PublicationRecord, _iter_lines
 
@@ -70,8 +71,7 @@ def attach_fwci(records: Iterable[PublicationRecord],
     return scores, excluded
 
 
-@dataclass(frozen=True)
-class ComboObservation:
+class ComboObservation(NamedTuple):
     """Aggregate of all papers sharing one exact country combination and year."""
 
     combo_id: tuple[str, ...]  # sorted, duplicate-free
@@ -107,16 +107,13 @@ def build_observations(records: Iterable[PublicationRecord],
     combination seen in two years yields two observations that share one
     random-effect group (the combination itself).
     """
-    groups: dict[tuple[tuple[str, ...], int], list[tuple[str, float]]] = {}
+    groups: dict[tuple[tuple[str, ...], int], list[float]] = defaultdict(list)
     for rec in records:
-        if not rec.is_international() or rec.id not in scores:
-            continue
-        groups.setdefault((rec.countries, rec.year), []).append((rec.id, scores[rec.id]))
-    observations = []
-    for (combo, year), members in sorted(groups.items()):
-        members.sort()  # deterministic mean regardless of input order
-        observations.append(make_observation(combo, year, [s for _, s in members]))
-    return observations
+        if rec.is_international() and (score := scores.get(rec.id)) is not None:
+            groups[rec.countries, rec.year].append(score)
+    # math.fsum is exactly rounded, so the mean does not depend on input order
+    return [make_observation(combo, year, values)
+            for (combo, year), values in sorted(groups.items())]
 
 
 def write_observations(observations: Iterable[ComboObservation],

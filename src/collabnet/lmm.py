@@ -291,7 +291,8 @@ def fit(observations: Sequence) -> LmmFit:
     FIXED_EFFECTS, grouped by `combo_id`, so the same combination in
     different years shares one group."""
     y = [ob.log_fwci for ob in observations]
-    X = [[1.0, ob.country_count, ob.publication_count, ob.year] for ob in observations]
+    X = np.column_stack([np.ones(len(y))] + [[getattr(ob, name) for ob in observations]
+                                             for name in FIXED_EFFECTS[1:]])  # no list per row
     groups = [ob.combo_id for ob in observations]
     return fit_random_intercept(y, X, groups, names=FIXED_EFFECTS)
 

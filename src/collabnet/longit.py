@@ -47,12 +47,15 @@ class TrendSeries:
         return tuple(p.year for p in self.points)
 
     def node_shares(self) -> list[float]:
-        final = self.points[-1].nodes
-        return [p.nodes / final for p in self.points]
+        return self._shares([p.nodes for p in self.points], "nodes")
 
     def edge_shares(self) -> list[float]:
-        final = self.points[-1].edges
-        return [p.edges / final for p in self.points]
+        return self._shares([p.edges for p in self.points], "edges")
+
+    def _shares(self, values: list[int], measure: str) -> list[float]:
+        if values[-1] == 0:
+            raise ValueError(f"{self.specialty} {self.years[-1]}: no {measure} in the final year")
+        return [v / values[-1] for v in values]
 
 
 @dataclass(frozen=True)
@@ -130,14 +133,17 @@ _STATS_TYPES = (
 
 
 def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
-    """Read stats rows back as dicts; blank cells become None. A cell that
-    does not parse is a ValueError naming its line and column."""
+    """Read stats rows back as dicts; blank cells become None. A cell that does not
+    parse, or a missing or blank year/nodes/edges, is a ValueError naming its line."""
     out = []
     reader = csv.DictReader(_iter_lines(source))
     for row in reader:
         parsed: dict = {"specialty": row.get("specialty", "")}
         for col, kind in _STATS_TYPES:
             raw = row.get(col)
+            if raw in (None, "") and col in ("year", "nodes", "edges"):
+                problem = "missing" if raw is None else "blank cell"
+                raise ValueError(f"line {reader.line_num}: column {col}: {problem}")
             try:
                 parsed[col] = kind(raw) if raw not in (None, "") else None
             except ValueError as exc:
@@ -147,11 +153,9 @@ def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
 
 
 def series_from_stats(rows: Iterable[dict]) -> list[TrendSeries]:
-    """Group stats rows (as read from the stats CSV) into trend series."""
+    """Group stats rows (as `read_stats_csv` returns them) into trend series."""
     by_spec: dict[str, list[TrendPoint]] = {}
     for row in rows:
-        if row.get("year") is None or row.get("nodes") is None or row.get("edges") is None:
-            raise ValueError(f"stats row missing year/nodes/edges: {row}")
         by_spec.setdefault(row["specialty"], []).append(TrendPoint(
             year=row["year"], nodes=row["nodes"], edges=row["edges"],
             diameter=row.get("diameter")))

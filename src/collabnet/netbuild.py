@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 from xml.etree import ElementTree
 
 from .corpus import PublicationRecord, _iter_lines
@@ -27,8 +28,7 @@ EXPORT_FORMATS = ("graphml", "dot", "edgelist_csv")
 EDGELIST_COLUMNS = ("source", "target", "copub_count", "cosine")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     copub_count: int
     cosine: float | None = None
 
@@ -72,9 +72,9 @@ def build_network(records: Sequence[PublicationRecord], isolate_policy: str = "d
                   count_mode: str = "edges") -> CollabNetwork:
     """Build the collaboration network for a single (specialty, year) slice.
 
-    All records must share one specialty and year. Records with fewer than
-    two countries contribute no edges; under the default isolate policy
-    their countries are discounted entirely.
+    All records must share one specialty and year, each with its countries
+    sorted. Records with fewer than two countries contribute no edges; under
+    the default isolate policy their countries are discounted entirely.
     """
     if isolate_policy not in ISOLATE_POLICIES:
         raise ValueError(f"isolate_policy must be one of {ISOLATE_POLICIES}")
@@ -89,27 +89,18 @@ def build_network(records: Sequence[PublicationRecord], isolate_policy: str = "d
     if len(specialties) > 1:
         raise ValueError(f"mixed specialties in slice: {sorted(specialties)}")
 
-    counts: dict[tuple[str, str], int] = {}
-    strength: dict[str, int] = {}
-    seen: set[str] = set()
-    for rec in records:
-        seen.update(rec.countries)
-        if not rec.is_international():
-            continue
-        for c in rec.countries:
-            strength[c] = strength.get(c, 0) + 1
-        for a, b in combinations(rec.countries, 2):  # countries pre-sorted
-            key = _edge_key(a, b)
-            counts[key] = counts.get(key, 0) + 1
-
-    linked = {v for pair in counts for v in pair}
-    nodes = linked if isolate_policy == "drop" else seen
+    international = [r.countries for r in records if r.is_international()]
+    strength = Counter(chain.from_iterable(international))
+    counts = Counter(chain.from_iterable(combinations(c, 2) for c in international))
+    # every country of an international record has an edge, so it is not dropped
+    nodes = sorted(strength if isolate_policy == "drop"
+                   else set(chain.from_iterable(r.countries for r in records)))
     return CollabNetwork(
         specialty=next(iter(specialties)),
         year=next(iter(years)),
-        nodes=tuple(sorted(nodes)),
-        edges={k: Edge(copub_count=v) for k, v in sorted(counts.items())},
-        node_strength={v: strength.get(v, 0) for v in sorted(nodes)},
+        nodes=tuple(nodes),
+        edges={k: Edge(counts[k]) for k in sorted(counts)},  # sorting (key, count) items is slower
+        node_strength={v: strength[v] for v in nodes},
         isolate_policy=isolate_policy,
         count_mode=count_mode,
     )
@@ -118,14 +109,14 @@ def build_network(records: Sequence[PublicationRecord], isolate_policy: str = "d
 def cosine_weights(net: CollabNetwork) -> CollabNetwork:
     """Populate Salton cosine weights n_ij / sqrt(n_i * n_j)."""
     edges: dict[tuple[str, str], Edge] = {}
-    for (a, b), e in net.edges.items():
+    for key, e in net.edges.items():
+        a, b = key
         na, nb = net.node_strength.get(a, 0), net.node_strength.get(b, 0)
         if na <= 0 or nb <= 0:
             raise RuntimeError(
                 f"internal consistency error: edge {a}-{b} with zero node strength"
             )
-        edges[(a, b)] = Edge(copub_count=e.copub_count,
-                             cosine=e.copub_count / math.sqrt(na * nb))
+        edges[key] = Edge(e.copub_count, e.copub_count / math.sqrt(na * nb))
     return replace(net, edges=edges)
 
 

@@ -212,6 +212,44 @@ def test_trends_names_the_line_and_column_of_a_bad_cell(workdir, capsys):
     assert not (workdir / "trends.csv").exists()
 
 
+@pytest.mark.parametrize("final,measure", [("0,6", "nodes"), ("3,0", "edges")])
+def test_trends_names_the_specialty_and_year_of_a_zero_final_size(workdir, capsys,
+                                                                  final, measure):
+    (workdir / "sizes.csv").write_text(
+        f"specialty,year,nodes,edges\nA,2008,3,5\nA,2013,{final}\n")
+    assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
+    assert f"error: A 2013: no {measure} in the final year" in capsys.readouterr().err
+    assert not (workdir / "trends.csv").exists()
+
+
+@pytest.mark.parametrize("column", ["year", "nodes", "edges"])
+def test_trends_names_the_line_and_column_of_a_blank_size(workdir, capsys, column):
+    row = {"specialty": "A", "year": "2013", "nodes": "4", "edges": "6", column: ""}
+    (workdir / "sizes.csv").write_text(
+        "specialty,year,nodes,edges\nA,2008,3,5\n" + ",".join(row.values()) + "\n")
+    assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
+    assert (f"error: sizes.csv: line 3: column {column}: blank cell"
+            in capsys.readouterr().err)
+    assert not (workdir / "trends.csv").exists()
+
+
+def test_trends_names_the_line_of_a_missing_size_column(workdir, capsys):
+    (workdir / "sizes.csv").write_text("specialty,year,nodes\nA,2008,3\n")
+    assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
+    assert "error: sizes.csv: line 2: column edges: missing" in capsys.readouterr().err
+
+
+def test_ingest_names_the_line_of_a_one_column_map_row(workdir, capsys):
+    (workdir / "map.csv").write_text("journal,specialty\nJ1\n")
+    (workdir / "raw.jsonl").write_text(
+        '{"id":"p1","year":2013,"journal":"J1","countries":["US"],"citations":1}\n')
+    assert run("ingest", "--input", "raw.jsonl", "--map", "map.csv",
+               "--out", "corpus.jsonl") == 1
+    assert ("error: map.csv: line 2: specialty map row needs two columns: ['J1']"
+            in capsys.readouterr().err)
+    assert not (workdir / "corpus.jsonl").exists()
+
+
 def test_gen_config_names_a_missing_key(workdir, capsys):
     (workdir / "cfg.json").write_text(json.dumps({
         "n_countries": 20, "n_papers": 50, "years": [2013], "attachment_strength": 0.5,

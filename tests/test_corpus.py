@@ -104,6 +104,29 @@ def test_duplicate_id_last_wins_and_counts(bundled_map):
     assert len(corp) + len(corp.rejections) == 2
 
 
+def test_ingest_resolves_the_specialty_on_both_line_paths(bundled_map):
+    obj = json.loads(make_line(specialty="Seismology", countries=["CN", "US"]))
+    fast, slow = canonical(obj), json.dumps({**obj, "id": "p2"}) + "\n"
+    assert corpus._CANONICAL.fullmatch(fast) and not corpus._CANONICAL.fullmatch(slow)
+    corp = ingest([fast, slow], bundled_map)
+    assert [(r.id, r.specialty) for r in corp] == [("p1", "Virology"), ("p2", "Virology")]
+    assert corp.records["p1"] == parse_record({**obj, "specialty": "Virology"})
+
+
+def test_iteration_and_filter_follow_id_order_after_ingest(bundled_map):
+    ids = ["p9", "p10", "a", "p1", "Z", "p10"]  # p10 twice: the later line wins
+    lines = [make_line(id=rid, year=2008 if n % 2 else 2013, citations=n)
+             for n, rid in enumerate(ids)]
+    corp = ingest(lines, bundled_map)
+    assert list(corp.records) == [r.id for r in corp] == sorted(set(ids))
+    assert corp.records["p10"].citations == 5
+    with pytest.raises(TypeError):  # read-only, so the id order cannot be broken
+        corp.records["0"] = corp.records["a"]
+    for year in (2008, 2013):
+        got = [r.id for r in filter_records(corp, "Virology", year)]
+        assert got == sorted(r.id for r in corp if r.year == year)
+
+
 def test_accounting_identity(bundled_map):
     lines = [
         make_line(id="a"),
@@ -404,6 +427,21 @@ def test_slice_load_keeps_the_last_record_of_a_moved_id(tmp_path):
     assert moved_id not in Corpus.load(path, only=("Virology", 2013)).records
     assert Corpus.load(path, only=("Virology", 2008)).records[moved_id].year == 2008
     assert "spaced" in Corpus.load(path, only=("Virology", 2013)).records
+
+
+def test_loads_follow_id_order_with_a_duplicate_id(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    lines = [json.loads(make_line(id=rid, year=year, specialty="Virology"))
+             for rid, year in [("p3", 2013), ("p1", 2013), ("p2", 2008), ("p0", 2013),
+                               ("p1", 2008), ("p3", 2013)]]
+    path.write_text("".join(canonical(obj) for obj in lines), encoding="utf-8")
+    full = Corpus.load(path)
+    assert [r.id for r in full] == ["p0", "p1", "p2", "p3"]
+    for year, ids in ((2013, ["p0", "p3"]), (2008, ["p1", "p2"])):
+        part = Corpus.load(path, only=("Virology", year))
+        assert [r.id for r in part] == list(part.records) == ids
+        assert [r.id for r in filter_records(part, "Virology", year)] == ids
+        assert [r.id for r in filter_records(full, "Virology", year)] == ids
 
 
 @pytest.mark.parametrize("bad,message", [

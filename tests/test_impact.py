@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -177,3 +178,22 @@ def test_observation_csv_round_trip(tmp_path):
     write_observations(obs, p)
     back = read_observations(p)
     assert back == obs
+
+
+def test_observations_are_bit_identical_for_a_permuted_record_list():
+    rng = random.Random(7)
+    combos = [("CN", "US"), ("DE", "FR", "US"), ("BR", "CL"), ("US",)]
+    records = [rec(f"p{i:03d}", 0, year=rng.choice((2008, 2013)), countries=rng.choice(combos))
+               for i in range(300)]
+    scores = {r.id: rng.lognormvariate(0.0, 2.0) for r in records if rng.random() < 0.9}
+    expected = build_observations(records, scores)
+    exact = [(ob[:4], ob.mean_fwci.hex(), ob.log_fwci.hex()) for ob in expected]
+    order_matters = False
+    for _ in range(5):
+        shuffled = rng.sample(records, len(records))
+        obs = build_observations(shuffled, scores)
+        assert [(ob[:4], ob.mean_fwci.hex(), ob.log_fwci.hex()) for ob in obs] == exact
+        values = [scores[r.id] for r in shuffled if r.id in scores
+                  and (r.countries, r.year) == (expected[0].combo_id, expected[0].year)]
+        order_matters |= sum(values) != sum(sorted(values))
+    assert order_matters  # a plain running sum would have depended on the order

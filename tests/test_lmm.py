@@ -205,6 +205,8 @@ def test_too_few_observations_is_an_error():
     X = np.ones((4, 3))
     with pytest.raises(ValueError, match="too few observations"):
         fit_random_intercept(np.zeros(4), X, list("abcd"))
+    with pytest.raises(ValueError, match="too few observations: n=0"):
+        fit([])  # the design matrix keeps its four columns with no rows
 
 
 def test_raw_year_coding_produces_large_intercept_pattern():

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 from xml.etree import ElementTree
 
@@ -288,6 +289,41 @@ def test_graphml_rejects_malformed_nodes_and_edges(node_ids, edge_elements, mess
     nodes = ["<node/>" if v is None else f'<node id="{v}"/>' for v in node_ids]
     with pytest.raises(ValueError, match=message):
         read_graphml(graphml_text(nodes, edge_elements))
+
+
+@st.composite
+def shuffled_slices(draw) -> list[PublicationRecord]:
+    """One slice's records in any order, each with 1 to 6 countries."""
+    codes = sorted_codes()[:12]
+    sets = draw(st.lists(st.lists(st.sampled_from(codes), min_size=1, max_size=6, unique=True),
+                         min_size=1, max_size=40))
+    records = [rec(f"p{i}", countries) for i, countries in enumerate(sets)]
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shuffled_slices(), st.sampled_from(["keep", "drop"]))
+def test_build_and_cosine_match_a_brute_force_tally(records, policy):
+    pairs: dict[tuple[str, str], int] = {}
+    strength: dict[str, int] = {}
+    seen: set[str] = set()
+    for r in records:
+        seen.update(r.countries)
+        if len(r.countries) < 2:
+            continue
+        for a in r.countries:
+            strength[a] = strength.get(a, 0) + 1
+            for b in r.countries:
+                if a < b:
+                    pairs[a, b] = pairs.get((a, b), 0) + 1
+    nodes = tuple(sorted(seen if policy == "keep" else strength))
+    net = cosine_weights(build_network(records, isolate_policy=policy))
+    assert net.nodes == nodes
+    assert net.node_strength == {v: strength.get(v, 0) for v in nodes}
+    assert list(net.edges) == sorted(pairs)
+    assert net.edges == {(a, b): Edge(n, n / math.sqrt(strength[a] * strength[b]))
+                         for (a, b), n in pairs.items()}
+    assert all(isinstance(e, Edge) for e in net.edges.values())
 
 
 @st.composite
