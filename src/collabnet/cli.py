@@ -40,10 +40,6 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(Path(path).read_bytes())
-
-
 def _write_manifest(anchor: Path, command: str, options: dict,
                     inputs: list[Path], outputs: list[Path]) -> None:
     manifest = {
@@ -51,8 +47,8 @@ def _write_manifest(anchor: Path, command: str, options: dict,
         "version": __version__,
         "config_hash": _sha256_bytes(
             json.dumps(options, sort_keys=True, default=str).encode()),
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
-        "outputs": {str(p): _sha256_file(p) for p in outputs},
+        "inputs": {str(p): _sha256_bytes(p.read_bytes()) for p in inputs},
+        "outputs": {str(p): _sha256_bytes(p.read_bytes()) for p in outputs},
     }
     path = Path(str(anchor) + ".manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -77,6 +73,15 @@ def _write_text(path: str, text: str) -> Path:
     with open(p, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return p
+
+
+def _write_output(args: argparse.Namespace, text: str, inputs: list[Path]) -> None:
+    """Write `text` to `--out` with the command's manifest, or to stdout for `-`."""
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        _write_text(args.out, text)
+        _write_manifest(Path(args.out), args.command, _options(args), inputs, [Path(args.out)])
 
 
 # ---------------------------------------------------------------- gen
@@ -146,6 +151,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     smap = (corpus.SpecialtyMap.bundled() if args.map is None
             else _read(corpus.SpecialtyMap.from_csv, args.map))
+    if args.input == "-":  # a line that is not UTF-8 is rejected, as from a file
+        sys.stdin.reconfigure(errors="surrogateescape")
     source = sys.stdin if args.input == "-" else args.input
     result = corpus.ingest(source, smap)
     result.save(args.out)
@@ -163,30 +170,22 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- build
 
-def _format_from_out(out: str, fmt: str | None) -> str:
-    if fmt:
-        return "edgelist_csv" if fmt == "csv" else fmt
-    suffix = Path(out).suffix.lower()
-    if suffix == ".graphml":
-        return "graphml"
-    if suffix in (".dot", ".gv"):
-        return "dot"
-    return "edgelist_csv"
+def _write_network(args: argparse.Namespace, net: netbuild.CollabNetwork) -> None:
+    """`_write_output` of `net` in `--format`, else the format `--out`'s suffix names."""
+    fmt = args.format or netbuild.FORMAT_SUFFIXES.get(Path(args.out).suffix.lower(), "csv")
+    _write_output(args, netbuild.export(net, fmt, header=not args.no_header), [Path(args.input)])
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     corp = corpus.Corpus.load(args.input, only=(args.specialty, args.year))
     records = corpus.filter_records(corp, args.specialty, args.year)
-    net = netbuild.build_network(records, isolate_policy=args.isolate_policy,
-                                 count_mode=args.count_mode)
+    net = netbuild.build_network(records, isolate_policy=args.isolate_policy)
     net = netbuild.cosine_weights(net)
-    fmt = _format_from_out(args.out, args.format)
-    _write_text(args.out, netbuild.export(net, fmt, header=not args.no_header))
-    _write_manifest(Path(args.out), "build", _options(args),
-                    [Path(args.input)], [Path(args.out)])
+    _write_network(args, net)
+    # arc counting reports each undirected link twice; the graph is unchanged
+    edges = net.n_edges * (2 if args.count_mode == "arcs" else 1)
     print(f"{net.specialty or args.specialty} {net.year}: "
-          f"{net.n_nodes} nodes, {net.reported_edge_count} edges ({net.count_mode})",
-          file=sys.stderr)
+          f"{net.n_nodes} nodes, {edges} edges ({args.count_mode})", file=sys.stderr)
     return 0
 
 
@@ -222,12 +221,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         text = metrics.stats_json_text(stats_list)
     else:
         text = metrics.stats_csv_text(stats_list, args.fixed_decimals)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
-        _write_manifest(Path(args.out), "stats", _options(args),
-                        [Path(p) for p in args.input], [Path(args.out)])
+    _write_output(args, text, [Path(p) for p in args.input])
     return 0
 
 
@@ -297,23 +291,14 @@ def cmd_trends(args: argparse.Namespace) -> int:
     rows = _read(longit.read_stats_csv, args.input)
     series = longit.series_from_stats(rows)
     text = longit.format_change_table(series) if args.table2 else longit.trends_csv(series)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
-        _write_manifest(Path(args.out), "trends", _options(args),
-                        [Path(args.input)], [Path(args.out)])
+    _write_output(args, text, [Path(args.input)])
     return 0
 
 
 # ---------------------------------------------------------------- export
 
 def cmd_export(args: argparse.Namespace) -> int:
-    net = _load_network(args.input, args.specialty, args.year)
-    fmt = _format_from_out(args.out, args.format)
-    _write_text(args.out, netbuild.export(net, fmt, header=not args.no_header))
-    _write_manifest(Path(args.out), "export", _options(args),
-                    [Path(args.input)], [Path(args.out)])
+    _write_network(args, _load_network(args.input, args.specialty, args.year))
     return 0
 
 
@@ -349,8 +334,8 @@ def build_parser() -> Parser:
     p.add_argument("--specialty", required=True)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--isolate-policy", choices=netbuild.ISOLATE_POLICIES, default="drop")
-    p.add_argument("--count-mode", choices=netbuild.COUNT_MODES, default="edges")
-    p.add_argument("--format", choices=("graphml", "dot", "csv"))
+    p.add_argument("--count-mode", choices=("edges", "arcs"), default="edges")
+    p.add_argument("--format", choices=netbuild.EXPORT_FORMATS)
     p.add_argument("--no-header", action="store_true", help="omit the edge-list CSV header")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
@@ -389,7 +374,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("export", help="convert a network file between formats")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("graphml", "dot", "csv"))
+    p.add_argument("--format", choices=netbuild.EXPORT_FORMATS)
     p.add_argument("--specialty", help="label for an unlabeled edge-list input")
     p.add_argument("--year", type=int, help="label for an unlabeled edge-list input")
     p.add_argument("--no-header", action="store_true")

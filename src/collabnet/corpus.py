@@ -42,14 +42,21 @@ OTHER_SPECIALTY = "other"
 
 _WS = re.compile(r"\s+")
 
-# A line as `Corpus.save` writes it: sorted keys, no spaces, strings without
-# escapes, optionally followed by a line ending.
-_STR = r'"([^"\\\x00-\x1f]*)"'
+# A line as `_jsonl_lines` writes a record: sorted keys, no spaces, strings
+# without escapes or surrogates, optionally followed by a line ending.
+_STR = r'"([^"\\\x00-\x1f\ud800-\udfff]*)"'
 _INT = r"(0|[1-9][0-9]*)"
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # how `_iter_lines` keeps a byte that is not UTF-8
 _CANONICAL = re.compile(
     r'\{"citations":' + _INT + r',"countries":\["([A-Z]{2}(?:","[A-Z]{2})*)"\]'
     + "".join(f',"{key}":{_STR}' for key in ("doctype", "field", "id", "journal", "specialty"))
     + r',"year":' + _INT + r'\}\r?\n?')
+
+
+def _jsonl_lines(objs: Iterable[dict]) -> Iterator[str]:
+    """The canonical JSONL form, one line per object: sorted keys, compact, LF."""
+    for obj in objs:
+        yield json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class RecordInvalid(ValueError):
@@ -121,10 +128,6 @@ class SpecialtyMap:
     def resolve(self, journal: str) -> str | None:
         """Specialty label for a journal, or None when unmapped."""
         return self._entries.get(_norm_journal(journal))
-
-    def labels(self) -> list[str]:
-        """All valid specialty labels, including the unmapped fallback."""
-        return sorted(self.universe | {OTHER_SPECIALTY})
 
     @classmethod
     def from_csv(cls, source: str | Path | Iterable[str],
@@ -211,10 +214,7 @@ class Corpus:
     def save(self, path: str | Path) -> None:
         """Write the canonical JSONL form: sorted by id, compact, LF."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for rec in self:
-                fh.write(json.dumps(rec.to_json_obj(), sort_keys=True,
-                                    separators=(",", ":")))
-                fh.write("\n")
+            fh.writelines(_jsonl_lines(rec.to_json_obj() for rec in self))
 
     @classmethod
     def load(cls, path: str | Path, only: tuple[str, int] | None = None) -> "Corpus":
@@ -226,7 +226,7 @@ class Corpus:
         of the whole corpus.
         """
         latest: dict[str, tuple[str, PublicationRecord | None]] = {}
-        for n, line in enumerate(_iter_lines(path), start=1):
+        for n, line in enumerate(_iter_lines(path, "surrogateescape"), start=1):
             if not line.strip():
                 continue
             try:
@@ -239,11 +239,11 @@ class Corpus:
         return cls(records=records, rejections=[], specialty_labels=frozenset(labels))
 
 
-def _iter_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
-    """The lines of a path (UTF-8, line endings kept, as `csv` needs), or
-    of an iterable of lines as given."""
+def _iter_lines(source: str | Path | Iterable[str], errors: str = "strict") -> Iterator[str]:
+    """The lines of a path (UTF-8 decoded with `errors`, line endings kept,
+    as `csv` needs), or of an iterable of lines as given."""
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8", errors=errors) as fh:
             yield from fh
     else:
         yield from source
@@ -255,11 +255,12 @@ def _parse_line(line: str, only: tuple[str, int] | None = None, smap: SpecialtyM
     `only=(specialty, year)` is given and the line lies outside that slice.
 
     The record is `parse_record(json.loads(line))`, and so are the
-    exceptions, plus a RecordInvalid for a line that is not an object and a
-    plain ValueError for an integer past Python's int-string digit limit. A
-    canonical line whose values all pass validation is read by one regex
-    match instead. Its codes are ISO codes, which normalization leaves as
-    they are. With `smap`, the specialty is resolved from the journal.
+    exceptions, plus a RecordInvalid for a line that is not an object or
+    not UTF-8 and a plain ValueError for an integer past Python's
+    int-string digit limit. A canonical line whose values all pass
+    validation is read by one regex match instead. Its codes are ISO codes,
+    which normalization leaves as they are. With `smap`, the specialty is
+    resolved from the journal.
     """
     m = _CANONICAL.fullmatch(line)
     if m is not None:
@@ -275,6 +276,8 @@ def _parse_line(line: str, only: tuple[str, int] | None = None, smap: SpecialtyM
                 id=rid, year=year, journal=journal, specialty=specialty, field=field_,
                 doctype=doctype, countries=tuple(sorted(set(map(intern, countries)))),
                 citations=citations)
+    if not line.isascii() and (bad := _SURROGATE.search(line)) is not None:
+        raise RecordInvalid(f"malformed record: not valid UTF-8 at character {bad.start() + 1}")
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise RecordInvalid("malformed record: not an object")
@@ -298,7 +301,7 @@ def ingest(source, smap: SpecialtyMap) -> Corpus:
     """
     records: dict[str, PublicationRecord] = {}
     rejections: list[tuple[str, str]] = []
-    for n, line in enumerate(_iter_lines(source), start=1):
+    for n, line in enumerate(_iter_lines(source, "surrogateescape"), start=1):
         if not line.strip():
             continue
         try:

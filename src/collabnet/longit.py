@@ -6,8 +6,9 @@ curves express each year's node count as a share of the final-year count,
 per specialty plus a pooled mean curve; shares may exceed 1 when a field
 shrinks, which is flagged rather than forbidden.
 
-The stats CSV reader lives here, beside its consumer, so reading a stats
-file needs no numpy; `metrics` re-exports it.
+The stats CSV column table and its reader live here, beside their
+consumer, so reading a stats file needs no numpy; `metrics` writes its
+columns from the same table and re-exports the reader.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def growth(series: TrendSeries) -> GrowthResult:
         raise ValueError("growth needs at least two years")
     first, last = series.points[0], series.points[-1]
     if first.edges == 0:
-        raise ValueError(f"growth undefined: zero edges in {first.year}")
+        raise ValueError(f"{series.specialty} {first.year}: growth undefined: zero edges")
     node_change = last.nodes - first.nodes
     pct = 100.0 * (last.edges - first.edges) / first.edges
     if first.diameter is None or last.diameter is None:
@@ -125,10 +126,12 @@ def convergence(series_list: Sequence[TrendSeries]) -> ConvergenceResult:
                              non_monotone=frozenset(flagged))
 
 
-_STATS_TYPES = (
-    *((col, int) for col in ("year", "nodes", "edges", "diameter", "components")),
-    *((col, float) for col in ("avg_degree", "density", "betweenness_centralization",
-                               "transitivity", "avg_local_clustering", "alpha")),
+# The stats CSV columns and their types, in `metrics.NetworkStats` field order.
+STATS_TABLE = (
+    ("specialty", str), ("year", int), ("nodes", int), ("edges", int), ("diameter", int),
+    ("avg_degree", float), ("density", float), ("betweenness_centralization", float),
+    ("transitivity", float), ("avg_local_clustering", float), ("components", int),
+    ("alpha", float),
 )
 
 
@@ -139,7 +142,7 @@ def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
     reader = csv.DictReader(_iter_lines(source))
     for row in reader:
         parsed: dict = {"specialty": row.get("specialty", "")}
-        for col, kind in _STATS_TYPES:
+        for col, kind in STATS_TABLE[1:]:
             raw = row.get(col)
             if raw in (None, "") and col in ("year", "nodes", "edges"):
                 problem = "missing" if raw is None else "blank cell"

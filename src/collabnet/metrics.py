@@ -22,24 +22,21 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .longit import read_stats_csv  # noqa: F401  (the reader of stats_csv_text output)
+from .longit import STATS_TABLE, read_stats_csv  # noqa: F401  (reads stats_csv_text output)
 from .netbuild import CollabNetwork
 
-STATS_COLUMNS = (
-    "specialty", "year", "nodes", "edges", "diameter", "avg_degree",
-    "density", "betweenness_centralization", "transitivity",
-    "avg_local_clustering", "components", "alpha",
-)
+STATS_COLUMNS = tuple(col for col, _ in STATS_TABLE)
 
 
 @dataclass(frozen=True)
 class NetworkStats:
-    """The statistics bundle for one (specialty, year) snapshot."""
+    """The statistics bundle for one (specialty, year) snapshot; the fields
+    are the stats CSV columns, in order."""
 
     specialty: str
     year: int
@@ -55,21 +52,8 @@ class NetworkStats:
     powerlaw_alpha: float | None = None
 
     def to_json_obj(self) -> dict:
-        """Keys mirror the stats CSV columns."""
-        return {
-            "specialty": self.specialty,
-            "year": self.year,
-            "nodes": self.n_nodes,
-            "edges": self.n_edges,
-            "diameter": self.diameter,
-            "avg_degree": self.avg_degree,
-            "density": self.density,
-            "betweenness_centralization": self.betweenness_centralization,
-            "transitivity": self.transitivity,
-            "avg_local_clustering": self.avg_local_clustering,
-            "components": self.n_components,
-            "alpha": self.powerlaw_alpha,
-        }
+        """Keys are the stats CSV columns."""
+        return dict(zip(STATS_COLUMNS, astuple(self), strict=True))
 
 
 class DiameterInfo(NamedTuple):
@@ -331,13 +315,7 @@ def _fmt(value, fixed_decimals: bool) -> str:
 
 
 def stats_row(stats: NetworkStats, fixed_decimals: bool = False) -> list[str]:
-    values = [
-        stats.specialty, stats.year, stats.n_nodes, stats.n_edges,
-        stats.diameter, stats.avg_degree, stats.density,
-        stats.betweenness_centralization, stats.transitivity,
-        stats.avg_local_clustering, stats.n_components, stats.powerlaw_alpha,
-    ]
-    return [_fmt(v, fixed_decimals) for v in values]
+    return [_fmt(v, fixed_decimals) for v in astuple(stats)]
 
 
 def stats_csv_text(stats_list: Iterable[NetworkStats], fixed_decimals: bool = False) -> str:

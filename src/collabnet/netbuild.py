@@ -22,8 +22,10 @@ from .corpus import PublicationRecord, _iter_lines
 from .countries import sorted_codes
 
 ISOLATE_POLICIES = ("keep", "drop")
-COUNT_MODES = ("edges", "arcs")
-EXPORT_FORMATS = ("graphml", "dot", "edgelist_csv")
+# Network file formats, and the output suffixes that name one; any other
+# suffix means the edge-list CSV.
+EXPORT_FORMATS = ("graphml", "dot", "csv")
+FORMAT_SUFFIXES = {".graphml": "graphml", ".dot": "dot", ".gv": "dot"}
 
 EDGELIST_COLUMNS = ("source", "target", "copub_count", "cosine")
 
@@ -42,8 +44,6 @@ class CollabNetwork:
     nodes: tuple[str, ...]                    # lexicographic order
     edges: dict[tuple[str, str], Edge]        # key (a, b) with a < b
     node_strength: dict[str, int]             # international papers per country
-    isolate_policy: str = "drop"
-    count_mode: str = "edges"
 
     @property
     def n_nodes(self) -> int:
@@ -53,23 +53,13 @@ class CollabNetwork:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def reported_edge_count(self) -> int:
-        """Edge count under the network's counting convention.
-
-        Arc counting reports each undirected link twice (legacy
-        comparability); the stored graph is unchanged.
-        """
-        factor = 2 if self.count_mode == "arcs" else 1
-        return factor * len(self.edges)
-
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-def build_network(records: Sequence[PublicationRecord], isolate_policy: str = "drop",
-                  count_mode: str = "edges") -> CollabNetwork:
+def build_network(records: Sequence[PublicationRecord],
+                  isolate_policy: str = "drop") -> CollabNetwork:
     """Build the collaboration network for a single (specialty, year) slice.
 
     All records must share one specialty and year, each with its countries
@@ -78,8 +68,6 @@ def build_network(records: Sequence[PublicationRecord], isolate_policy: str = "d
     """
     if isolate_policy not in ISOLATE_POLICIES:
         raise ValueError(f"isolate_policy must be one of {ISOLATE_POLICIES}")
-    if count_mode not in COUNT_MODES:
-        raise ValueError(f"count_mode must be one of {COUNT_MODES}")
     if not records:
         raise ValueError("empty slice")
     years = {r.year for r in records}
@@ -101,8 +89,6 @@ def build_network(records: Sequence[PublicationRecord], isolate_policy: str = "d
         nodes=tuple(nodes),
         edges={k: Edge(counts[k]) for k in sorted(counts)},  # sorting (key, count) items is slower
         node_strength={v: strength[v] for v in nodes},
-        isolate_policy=isolate_policy,
-        count_mode=count_mode,
     )
 
 
@@ -154,7 +140,6 @@ def network_of_size(n_nodes: int, n_edges: int, specialty: str = "",
         nodes=tuple(labels),
         edges={k: Edge(copub_count=1) for k in sorted(chosen)},
         node_strength=strength,
-        isolate_policy="keep",
     )
     return cosine_weights(net)
 
@@ -225,7 +210,7 @@ def export(net: CollabNetwork, fmt: str, header: bool = True) -> str:
         return export_graphml(net)
     if fmt == "dot":
         return export_dot(net)
-    if fmt in ("edgelist_csv", "csv"):
+    if fmt == "csv":
         return export_edgelist(net, header=header)
     raise ValueError(f"unknown format {fmt!r}; supported: {', '.join(EXPORT_FORMATS)}")
 
@@ -281,14 +266,16 @@ def read_edgelist(source: str | Path | Iterable[str], specialty: str = "",
     ValueError naming the line.
     """
     def rows():
-        for lineno, row in enumerate(csv.reader(_iter_lines(source)), start=1):
-            if (lineno == 1 and row[:2] == ["source", "target"]) or not "".join(row).strip():
+        reader = csv.reader(_iter_lines(source))
+        for row in reader:
+            if ((reader.line_num == 1 and row[:2] == ["source", "target"])
+                    or not "".join(row).strip()):
                 continue
             if len(row) < 2:
-                raise ValueError(f"line {lineno}: expected at least 2 columns "
+                raise ValueError(f"line {reader.line_num}: expected at least 2 columns "
                                  f"(source,target), got {len(row)}")
             padded = row + ["", ""]
-            yield f"line {lineno}", row[0], row[1], padded[2] or None, padded[3] or None
+            yield f"line {reader.line_num}", row[0], row[1], padded[2] or None, padded[3] or None
 
     return _network(specialty, year, rows())
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import SpecialtyMap
+from .corpus import SpecialtyMap, _jsonl_lines
 from .countries import sorted_codes
 
 PROB_TOL = 1e-12
@@ -188,11 +187,7 @@ def generate(config: GenConfig) -> tuple[list[dict], list[TruthRow]]:
 
 def records_jsonl(records: Iterable[dict]) -> str:
     """Canonical one-object-per-line serialization (byte-stable)."""
-    out = io.StringIO()
-    for rec in records:
-        out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-        out.write("\n")
-    return out.getvalue()
+    return "".join(_jsonl_lines(records))
 
 
 def write_records(records: Iterable[dict], path: str | Path) -> None:

@@ -74,6 +74,8 @@ def test_validation_error_exits_one(workdir):
     ("US,DE,-3\nDE,FR,1\nFR,GB,1\n", "line 1: copub_count must be positive, got -3"),
     ("US,\nDE,FR\nFR,GB\n", "line 1: missing endpoint"),
     ("US,DE,1,abc\n", "line 1: cosine 'abc' is not a number"),
+    # a quoted endpoint spans lines 2-3, so the next row is on line 4
+    ('source,target\n"U\nS",DE,1,\nUS,US,1,\n', "line 4: self-loop US-US"),
 ])
 def test_non_simple_edgelist_exits_one(workdir, capsys, rows, message):
     (workdir / "bad.csv").write_text(rows)
@@ -180,6 +182,40 @@ def test_build_names_the_line_of_an_integer_past_the_digit_limit(workdir, capsys
     assert not (workdir / "net.csv").exists()
 
 
+def non_utf8_lines(workdir) -> list[bytes]:
+    """A good corpus line, then the same record with a byte that is not UTF-8
+    in its journal, once canonical (the regex path) and once spaced (json.loads)."""
+    good = gen_corpus(workdir, n_papers=50).read_bytes().splitlines()[0]
+    spaced = json.dumps({**json.loads(good), "id": "spaced"}).encode()
+    return [good] + [line.replace(b'Journal of', b'Journal \xff of') for line in (good, spaced)]
+
+
+def test_ingest_rejects_a_line_that_is_not_utf8_by_line(workdir):
+    lines = non_utf8_lines(workdir)
+    (workdir / "bad.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    assert run("ingest", "--input", "bad.jsonl", "--map", "map.csv", "--out", "c.jsonl") == 0
+    rejections = (workdir / "c.jsonl.rejections.csv").read_text().splitlines()
+    columns = [line.index(b"\xff") + 1 for line in lines[1:]]
+    assert rejections == ["id,reason"] + [
+        f"line:{n},malformed record: not valid UTF-8 at character {column}"
+        for n, column in zip((2, 3), columns)]
+    assert (workdir / "c.jsonl").read_bytes() == lines[0] + b"\n"
+
+
+@pytest.mark.parametrize("command", ["build", "regress"])
+@pytest.mark.parametrize("which", [1, 2])
+def test_corpus_line_that_is_not_utf8_exits_one_with_its_location(workdir, capsys,
+                                                                  command, which):
+    lines = non_utf8_lines(workdir)
+    (workdir / "bad.jsonl").write_bytes(lines[0] + b"\n" + lines[which] + b"\n")
+    extra = ["--specialty", "Virology", "--year", "2013"] if command == "build" else []
+    assert run(command, "--input", "bad.jsonl", *extra, "--out", "out.txt") == 1
+    column = lines[which].index(b"\xff") + 1
+    assert (f"error: bad.jsonl:2: malformed record: not valid UTF-8 at character {column}"
+            in capsys.readouterr().err)
+    assert not (workdir / "out.txt").exists()
+
+
 OBSERVATIONS = "combo_id,year,country_count,publication_count,mean_fwci,log_fwci\n"
 
 
@@ -220,6 +256,14 @@ def test_trends_names_the_specialty_and_year_of_a_zero_final_size(workdir, capsy
     assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
     assert f"error: A 2013: no {measure} in the final year" in capsys.readouterr().err
     assert not (workdir / "trends.csv").exists()
+
+
+def test_trends_names_the_specialty_of_a_zero_first_year_edge_count(workdir, capsys):
+    (workdir / "sizes.csv").write_text("specialty,year,nodes,edges\n"
+                                       "A,2008,3,0\nA,2013,4,6\nB,2008,3,5\nB,2013,4,6\n")
+    assert run("trends", "--input", "sizes.csv", "--table2", "--out", "table2.txt") == 1
+    assert "error: A 2008: growth undefined: zero edges" in capsys.readouterr().err
+    assert not (workdir / "table2.txt").exists()
 
 
 @pytest.mark.parametrize("column", ["year", "nodes", "edges"])

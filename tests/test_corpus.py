@@ -225,7 +225,7 @@ def test_specialty_map_csv_round_trip(tmp_path):
     p.write_text("journal,specialty\nJournal A,Virology\nJournal B,Seismology\n")
     smap = SpecialtyMap.from_csv(p)
     assert smap.resolve("journal a") == "Virology"
-    assert smap.labels() == ["Seismology", "Virology", "other"]
+    assert smap.universe == {"Seismology", "Virology"}
 
 
 def test_parse_record_sorts_countries_canonically():

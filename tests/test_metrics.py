@@ -156,7 +156,7 @@ def as_network(adj, name=str) -> CollabNetwork:
              for a, nbrs in adj.items() for b in nbrs if a < b}
     nodes = tuple(sorted(name(v) for v in adj))
     return CollabNetwork(specialty="", year=0, nodes=nodes, edges=edges,
-                         node_strength={v: 0 for v in nodes}, isolate_policy="keep")
+                         node_strength={v: 0 for v in nodes})
 
 
 def local_clustering_oracle(adj) -> Fraction:

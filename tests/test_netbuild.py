@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabnet import syngen
-from collabnet.corpus import PublicationRecord, ingest
+from collabnet.cli import main
+from collabnet.corpus import Corpus, PublicationRecord, ingest
 from collabnet.countries import sorted_codes
 from collabnet.netbuild import (
     CollabNetwork,
@@ -131,13 +132,16 @@ def test_build_is_permutation_invariant():
         assert build_network(shuffled) == base
 
 
-def test_arcs_mode_doubles_reported_count_only():
-    records = [rec("a", ["AR", "BR", "CL"])]
-    edges_net = build_network(records, count_mode="edges")
-    arcs_net = build_network(records, count_mode="arcs")
-    assert arcs_net.reported_edge_count == 2 * edges_net.reported_edge_count
-    assert arcs_net.edges == edges_net.edges
-    assert arcs_net.n_edges == edges_net.n_edges
+def test_arcs_mode_doubles_reported_count_only(tmp_path, monkeypatch, capsys):
+    # `build --count-mode arcs` doubles the edge count on its stderr summary only
+    monkeypatch.chdir(tmp_path)
+    Corpus(records={"a": rec("a", ["AR", "BR", "CL"])}).save("corpus.jsonl")
+    for mode in ("edges", "arcs"):
+        assert main(["build", "--input", "corpus.jsonl", "--specialty", "Virology",
+                     "--year", "2013", "--count-mode", mode, "--out", f"{mode}.csv"]) == 0
+    assert capsys.readouterr().err == ("Virology 2013: 3 nodes, 3 edges (edges)\n"
+                                       "Virology 2013: 3 nodes, 6 edges (arcs)\n")
+    assert (tmp_path / "arcs.csv").read_text() == (tmp_path / "edges.csv").read_text()
 
 
 def test_copub_sum_bounded_by_multi_country_records():
@@ -161,13 +165,13 @@ def test_edgelist_csv_exact_line():
 def test_export_is_deterministic():
     records = [rec(f"p{i}", ["AR", "BR", "CL", "PE"][: 2 + i % 2]) for i in range(9)]
     net = cosine_weights(build_network(records))
-    for fmt in ("graphml", "dot", "edgelist_csv"):
+    for fmt in ("graphml", "dot", "csv"):
         assert export(net, fmt) == export(net, fmt)
 
 
 def test_export_unknown_format_lists_supported():
     net = build_network([rec("a", ["AR", "BR"])])
-    with pytest.raises(ValueError, match="graphml, dot, edgelist_csv"):
+    with pytest.raises(ValueError, match="graphml, dot, csv"):
         export(net, "gexf")
 
 
@@ -345,7 +349,7 @@ def simple_networks(draw) -> CollabNetwork:
         strength[b] += e.copub_count
     return CollabNetwork(specialty=draw(st.sampled_from(["", "Virology", "Soil Science"])),
                          year=draw(st.integers(1900, 2100)), nodes=tuple(sorted(labels)),
-                         edges=edges, node_strength=strength, isolate_policy="keep")
+                         edges=edges, node_strength=strength)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
