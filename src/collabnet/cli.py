@@ -23,6 +23,7 @@ from pathlib import Path
 # Standard library only. syngen, metrics and lmm load numpy, and impact and
 # longit serve one or two commands, so the commands that use them import them.
 from . import __version__, corpus, netbuild
+from .corpus import _csv_text, _write_text
 
 
 class CliError(ValueError):
@@ -50,10 +51,7 @@ def _write_manifest(anchor: Path, command: str, options: dict,
         "inputs": {str(p): _sha256_bytes(p.read_bytes()) for p in inputs},
         "outputs": {str(p): _sha256_bytes(p.read_bytes()) for p in outputs},
     }
-    path = Path(str(anchor) + ".manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(f"{anchor}.manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _options(args: argparse.Namespace) -> dict:
@@ -68,20 +66,15 @@ def _read(read, path: str, *args, **kwargs):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _write_text(path: str, text: str) -> Path:
-    p = Path(path)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return p
-
-
-def _write_output(args: argparse.Namespace, text: str, inputs: list[Path]) -> None:
-    """Write `text` to `--out` with the command's manifest, or to stdout for `-`."""
+def _write_output(args: argparse.Namespace, text: str, inputs: list[Path], *outputs: Path) -> None:
+    """Write `text` to `--out` with the command's manifest, which also lists
+    `outputs`, or to stdout for `-`."""
     if args.out == "-":
         sys.stdout.write(text)
     else:
         _write_text(args.out, text)
-        _write_manifest(Path(args.out), args.command, _options(args), inputs, [Path(args.out)])
+        _write_manifest(Path(args.out), args.command, _options(args), inputs,
+                        [Path(args.out), *outputs])
 
 
 # ---------------------------------------------------------------- gen
@@ -90,9 +83,11 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
     from . import syngen
 
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
         try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
             means = {(m["field"], int(m["year"]), m["doctype"]): float(m["mean"])
                      for m in raw["citation_model"]["means"]}
             model = syngen.CitationModel(
@@ -107,8 +102,11 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
                 attachment_strength=float(raw["attachment_strength"]),
                 citation_model=model,
             )
+            cfg.validate()
         except KeyError as exc:
             raise CliError(f"{args.config}: missing key {exc}") from None
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:  # bad type or JSON
+            raise CliError(f"{args.config}: {exc}") from None
     else:
         cfg = syngen.GenConfig.default(
             seed=args.seed,
@@ -127,21 +125,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     cfg = _gen_config(args)
     records, truth = syngen.generate(cfg)
-    text = syngen.records_jsonl(records)
     outputs: list[Path] = []
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        outputs.append(_write_text(args.out, text))
     if args.truth_out:
         outputs.append(_write_text(args.truth_out, syngen.truth_csv(truth)))
     if args.map_out:
-        smap = syngen.specialty_map_for(cfg)
-        rows = ["journal,specialty"] + [
-            f"Journal of {f},{f}" for f in sorted(smap.universe)]
-        outputs.append(_write_text(args.map_out, "\n".join(rows) + "\n"))
-    if args.out != "-":
-        _write_manifest(Path(args.out), "gen", _options(args), [], outputs)
+        fields = sorted(syngen.specialty_map_for(cfg).universe)
+        outputs.append(_write_text(args.map_out, _csv_text(
+            [("journal", "specialty")] + [(f"Journal of {f}", f) for f in fields])))
+    _write_output(args, syngen.records_jsonl(records), [], *outputs)
     print(f"generated {len(records)} records", file=sys.stderr)
     return 0
 
@@ -275,11 +266,9 @@ def cmd_regress(args: argparse.Namespace) -> int:
         if args.observations_out:
             impact.write_observations(whole, args.observations_out)
             outputs.append(Path(args.observations_out))
-    outputs.insert(0, _write_text(args.out, lmm.report(fits)))
     if args.csv_out:
         outputs.append(_write_text(args.csv_out, lmm.report_csv(fits)))
-    _write_manifest(Path(args.out), "regress", _options(args),
-                    [Path(args.input)], outputs)
+    _write_output(args, lmm.report(fits), [Path(args.input)], *outputs)
     return 0
 
 
@@ -360,7 +349,7 @@ def build_parser() -> Parser:
     p.add_argument("--input", required=True,
                    help="corpus JSONL or observations CSV")
     p.add_argument("--specialty", help="restrict a corpus input to one specialty")
-    p.add_argument("--out", required=True, help="plain-text report path")
+    p.add_argument("--out", required=True, help="plain-text report path, or - for stdout")
     p.add_argument("--csv-out", help="long-format CSV report")
     p.add_argument("--observations-out", help="write the observation CSV (corpus input)")
     p.set_defaults(func=cmd_regress)

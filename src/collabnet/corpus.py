@@ -15,6 +15,7 @@ to a canonical byte-stable JSONL file.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -57,6 +58,21 @@ def _jsonl_lines(objs: Iterable[dict]) -> Iterator[str]:
     """The canonical JSONL form, one line per object: sorted keys, compact, LF."""
     for obj in objs:
         yield json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    """The one CSV dialect of every output: quoted only where needed, LF."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _write_text(path: str | Path, text: str) -> Path:
+    """Write `text` to `path` as UTF-8 with LF line endings; returns the path."""
+    p = Path(path)
+    with open(p, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return p
 
 
 class RecordInvalid(ValueError):
@@ -240,13 +256,20 @@ class Corpus:
 
 
 def _iter_lines(source: str | Path | Iterable[str], errors: str = "strict") -> Iterator[str]:
-    """The lines of a path (UTF-8 decoded with `errors`, line endings kept,
-    as `csv` needs), or of an iterable of lines as given."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8", errors=errors) as fh:
-            yield from fh
-    else:
+    """The lines of a path (UTF-8, line endings kept, as `csv` needs), or of an
+    iterable as given. A byte that is not UTF-8 is kept as a surrogate with
+    `errors="surrogateescape"`; with "strict" it is a ValueError naming its line."""
+    if not isinstance(source, (str, Path)):
         yield from source
+        return
+    with open(source, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        if errors == "surrogateescape":
+            yield from fh
+            return
+        for n, line in enumerate(fh, start=1):
+            if not line.isascii() and (bad := _SURROGATE.search(line)) is not None:
+                raise ValueError(f"line {n}: not valid UTF-8 at character {bad.start() + 1}")
+            yield line
 
 
 def _parse_line(line: str, only: tuple[str, int] | None = None, smap: SpecialtyMap | None = None
@@ -334,7 +357,4 @@ def filter_records(corpus: Corpus, specialty: str, year: int) -> list[Publicatio
 
 def write_rejections(rejections: Iterable[tuple[str, str]], path: str | Path) -> None:
     """Rejection report as `id,reason` CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "reason"])
-        writer.writerows(rejections)
+    _write_text(path, _csv_text([("id", "reason"), *rejections]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import PublicationRecord, _iter_lines
+from .corpus import PublicationRecord, _csv_text, _iter_lines, _write_text
 
 LOG_OFFSET = 0.1
 
@@ -118,21 +118,18 @@ def build_observations(records: Iterable[PublicationRecord],
 
 def write_observations(observations: Iterable[ComboObservation],
                        path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OBSERVATION_COLUMNS)
-        for ob in observations:
-            writer.writerow([ob.combo_key, ob.year, ob.country_count,
-                             ob.publication_count, repr(ob.mean_fwci),
-                             repr(ob.log_fwci)])
+    _write_text(path, _csv_text([OBSERVATION_COLUMNS] + [
+        (ob.combo_key, ob.year, ob.country_count, ob.publication_count,
+         repr(ob.mean_fwci), repr(ob.log_fwci)) for ob in observations]))
 
 
 def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservation]:
     """Read an observation CSV as `write_observations` writes it.
 
     A missing column, a short row, a cell that is not an integer or a finite
-    number, or a `country_count` other than the number of countries in
-    `combo_id` is a ValueError naming the line.
+    number, a negative `mean_fwci`, a `log_fwci` more than 1e-12 relative from
+    ln(mean_fwci + 0.1), or a `country_count` other than the number of
+    countries in `combo_id` is a ValueError naming the line.
     """
     reader = csv.DictReader(_iter_lines(source))
     missing = [c for c in OBSERVATION_COLUMNS if c not in (reader.fieldnames or ())]
@@ -157,6 +154,12 @@ def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservati
         if not (math.isfinite(ob.mean_fwci) and math.isfinite(ob.log_fwci)):
             raise ValueError(f"{where}: mean_fwci {ob.mean_fwci!r} and log_fwci "
                              f"{ob.log_fwci!r} must be finite")
+        if ob.mean_fwci < 0:
+            raise ValueError(f"{where}: mean_fwci {ob.mean_fwci!r} is negative")
+        log_fwci = math.log(ob.mean_fwci + LOG_OFFSET)
+        if not math.isclose(ob.log_fwci, log_fwci, rel_tol=1e-12):
+            raise ValueError(f"{where}: log_fwci {ob.log_fwci!r} is not "
+                             f"ln(mean_fwci + {LOG_OFFSET}) = {log_fwci!r}")
         if ob.country_count != len(ob.combo_id):
             raise ValueError(f"{where}: country_count {ob.country_count} but combo_id "
                              f"{ob.combo_key} has {len(ob.combo_id)} countries")

@@ -19,14 +19,14 @@ matrix, and p-value stars use the normal approximation.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .corpus import _csv_text
 
 # The paper's model: log impact on these, one random intercept per country
 # combination.
@@ -430,17 +430,14 @@ def report(fits: Mapping[str, LmmFit]) -> str:
 
 def report_csv(fits: Mapping[str, LmmFit]) -> str:
     """Long-format CSV: model,term,estimate,se,p,stars plus summary rows."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["model", "term", "estimate", "se", "p", "stars"])
+    rows = [["model", "term", "estimate", "se", "p", "stars"]]
     for label, f in fits.items():
         for j, term in enumerate(f.names):
             p = p_value(float(f.beta[j]), float(f.se[j]))
-            writer.writerow([label, DISPLAY_NAMES.get(term, term),
-                             repr(float(f.beta[j])), repr(float(f.se[j])),
-                             repr(p), stars(p)])
-        writer.writerow([label, "Random Effect", repr(f.sigma_u2), "", "", ""])
-        writer.writerow([label, "Residual", repr(f.sigma2), "", "", ""])
-        writer.writerow([label, "AIC", repr(f.aic), "", "", ""])
-        writer.writerow([label, "N", f.n, "", "", ""])
-    return out.getvalue()
+            rows.append([label, DISPLAY_NAMES.get(term, term),
+                         repr(float(f.beta[j])), repr(float(f.se[j])), repr(p), stars(p)])
+        rows += [[label, "Random Effect", repr(f.sigma_u2), "", "", ""],
+                 [label, "Residual", repr(f.sigma2), "", "", ""],
+                 [label, "AIC", repr(f.aic), "", "", ""],
+                 [label, "N", f.n, "", "", ""]]
+    return _csv_text(rows)

@@ -14,13 +14,12 @@ columns from the same table and re-exports the reader.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import _iter_lines
+from .corpus import _csv_text, _iter_lines
 
 
 @dataclass(frozen=True)
@@ -176,19 +175,13 @@ TREND_COLUMNS = ("specialty", "year", "nodes", "edges", "diameter",
 def trends_csv(series_list: Sequence[TrendSeries]) -> str:
     """Plot-ready long-format CSV with shares and the pooled curve."""
     conv = convergence(series_list)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TREND_COLUMNS)
-    for s in series_list:
-        for i, p in enumerate(s.points):
-            writer.writerow([
-                s.specialty, p.year, p.nodes, p.edges,
-                p.diameter if p.diameter is not None else "",
-                repr(conv.node_shares[s.specialty][i]),
-                repr(conv.edge_shares[s.specialty][i]),
-                repr(conv.pooled_node_share[i]),
-            ])
-    return out.getvalue()
+    return _csv_text([TREND_COLUMNS] + [
+        [s.specialty, p.year, p.nodes, p.edges,
+         p.diameter if p.diameter is not None else "",
+         repr(conv.node_shares[s.specialty][i]),
+         repr(conv.edge_shares[s.specialty][i]),
+         repr(conv.pooled_node_share[i])]
+        for s in series_list for i, p in enumerate(s.points)])
 
 
 def change_cells(series: TrendSeries) -> tuple[str, str, str]:

@@ -18,8 +18,6 @@ Degrees are row sums and triangles the diagonal of A^3 halved.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import astuple, dataclass
@@ -27,6 +25,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .corpus import _csv_text
 from .longit import STATS_TABLE, read_stats_csv  # noqa: F401  (reads stats_csv_text output)
 from .netbuild import CollabNetwork
 
@@ -319,12 +318,7 @@ def stats_row(stats: NetworkStats, fixed_decimals: bool = False) -> list[str]:
 
 
 def stats_csv_text(stats_list: Iterable[NetworkStats], fixed_decimals: bool = False) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(STATS_COLUMNS)
-    for s in stats_list:
-        writer.writerow(stats_row(s, fixed_decimals))
-    return out.getvalue()
+    return _csv_text([STATS_COLUMNS, *(stats_row(s, fixed_decimals) for s in stats_list)])
 
 
 def stats_json_text(stats_list: Iterable[NetworkStats]) -> str:
@@ -352,9 +346,10 @@ def format_stats_grid(rows: list[dict]) -> str:
     years = sorted({r["year"] for r in rows if r.get("year") is not None})
     specialties = sorted({r["specialty"] for r in rows})
     by_key = {(r["specialty"], r["year"]): r for r in rows}
-    width = max([len(s) for s in specialties] + [len(m) for m, _ in GRID_MEASURES] + [12])
+    title = "Field / Measure"  # measure rows indent their label by 2
+    width = max([len(title), *map(len, specialties)] + [2 + len(m) for m, _ in GRID_MEASURES])
     header = "".join(f"{y:>10}" for y in years)
-    lines = [f"{'Field / Measure':<{width}}{header}"]
+    lines = [f"{title:<{width}}{header}"]
     for spec in specialties:
         lines.append(spec)
         for label, col in GRID_MEASURES:

@@ -9,16 +9,14 @@ pair counts and the per-country counts of internationally coauthored papers.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
-from xml.etree import ElementTree
 
-from .corpus import PublicationRecord, _iter_lines
+from .corpus import PublicationRecord, _csv_text, _iter_lines
 from .countries import sorted_codes
 
 ISOLATE_POLICIES = ("keep", "drop")
@@ -150,13 +148,8 @@ def _fmt_cosine(value: float | None) -> str:
 
 def export_edgelist(net: CollabNetwork, header: bool = True) -> str:
     """Edge list CSV `source,target,copub_count,cosine`, LF endings."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if header:
-        writer.writerow(EDGELIST_COLUMNS)
-    for (a, b), e in sorted(net.edges.items()):
-        writer.writerow([a, b, e.copub_count, _fmt_cosine(e.cosine)])
-    return out.getvalue()
+    rows = [(a, b, e.copub_count, _fmt_cosine(e.cosine)) for (a, b), e in sorted(net.edges.items())]
+    return _csv_text([EDGELIST_COLUMNS, *rows] if header else rows)
 
 
 def export_dot(net: CollabNetwork) -> str:
@@ -293,6 +286,7 @@ def read_graphml(source: str | Path) -> CollabNetwork:
     line and column where parsing stopped. A `<data>` element present but
     empty is invalid.
     """
+    from xml.etree import ElementTree  # loads pyexpat: keep off the CSV commands
     try:
         if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("<")):
             root = ElementTree.parse(source).getroot()

@@ -17,15 +17,13 @@ change the generator family silently: recorded seeds would stop reproducing.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import SpecialtyMap, _jsonl_lines
+from .corpus import SpecialtyMap, _csv_text, _jsonl_lines, _write_text
 from .countries import sorted_codes
 
 PROB_TOL = 1e-12
@@ -61,23 +59,23 @@ class GenConfig:
             raise ValueError("years must be non-empty")
         if len(set(self.years)) != len(self.years):
             raise ValueError("years must be unique")
-        if self.attachment_strength < 0:
-            raise ValueError("attachment_strength must be >= 0")
+        if not 0 <= self.attachment_strength < np.inf:  # also rejects nan
+            raise ValueError("attachment_strength must be finite and >= 0")
         sizes = self.countries_per_paper
         if not sizes:
             raise ValueError("countries_per_paper must be non-empty")
         if any((not isinstance(k, int)) or k < 1 for k in sizes):
             raise ValueError("countries_per_paper sizes must be positive integers")
-        if any(p < 0 for p in sizes.values()):
+        if not all(p >= 0 for p in sizes.values()):
             raise ValueError("countries_per_paper probabilities must be >= 0")
         if abs(sum(sizes.values()) - 1.0) > PROB_TOL:
             raise ValueError("countries_per_paper probabilities must sum to 1")
         if max(k for k, p in sizes.items() if p > 0) > self.n_countries:
             raise ValueError("countries_per_paper support exceeds n_countries")
-        if self.citation_model.dispersion <= 0:
-            raise ValueError("citation dispersion must be > 0")
-        if any(m <= 0 for m in self.citation_model.means.values()):
-            raise ValueError("citation means must be > 0")
+        if not 0 < self.citation_model.dispersion < np.inf:
+            raise ValueError("citation dispersion must be finite and > 0")
+        if not all(0 < m < np.inf for m in self.citation_model.means.values()):
+            raise ValueError("citation means must be finite and > 0")
         covered = {y for (_, y, _) in self.citation_model.means}
         missing = [y for y in self.years if y not in covered]
         if missing:
@@ -191,18 +189,13 @@ def records_jsonl(records: Iterable[dict]) -> str:
 
 
 def write_records(records: Iterable[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(records_jsonl(records))
+    _write_text(path, records_jsonl(records))
 
 
 def truth_csv(truth: Iterable[TruthRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "year", "field", "doctype", "countries", "citations"])
-    for row in truth:
-        writer.writerow([row.id, row.year, row.field, row.doctype,
-                         "-".join(row.countries), row.citations])
-    return out.getvalue()
+    return _csv_text([("id", "year", "field", "doctype", "countries", "citations")] + [
+        (row.id, row.year, row.field, row.doctype, "-".join(row.countries), row.citations)
+        for row in truth])
 
 
 def specialty_map_for(config: GenConfig) -> SpecialtyMap:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -217,19 +218,24 @@ def test_corpus_line_that_is_not_utf8_exits_one_with_its_location(workdir, capsy
 
 
 OBSERVATIONS = "combo_id,year,country_count,publication_count,mean_fwci,log_fwci\n"
+GOOD_ROW = "DE-US,2013,2,1,1.5,0.47000362924573563\n"  # log_fwci = ln(1.5 + 0.1)
 
 
 @pytest.mark.parametrize("text,message", [
-    (OBSERVATIONS + "DE-US,2013,2,1,1.5,0.47\nDE-FR,2013,2,3,1.0,nan\n",
+    (OBSERVATIONS + GOOD_ROW + "DE-FR,2013,2,3,1.0,nan\n",
      "line 3: mean_fwci 1.0 and log_fwci nan must be finite"),
     (OBSERVATIONS + "DE-US,2013,2,1,inf,inf\n",
      "line 2: mean_fwci inf and log_fwci inf must be finite"),
-    (OBSERVATIONS.replace("combo_id,", "") + "2013,2,1,1.5,0.47\n",
+    (OBSERVATIONS.replace("combo_id,", "") + GOOD_ROW.replace("DE-US,", ""),
      "line 1: missing column(s) combo_id"),
-    (OBSERVATIONS + "DE-US,2013,3,1,1.5,0.47\n",
+    (OBSERVATIONS + GOOD_ROW.replace(",2,", ",3,", 1),
      "line 2: country_count 3 but combo_id DE-US has 2 countries"),
-    (OBSERVATIONS + "DE-US,2013,2,1,1.5,0.47\nDE-FR,2013,2\n", "line 3: expected 6 columns"),
-], ids=["nan", "inf", "missing-column", "country-count", "short-row"])
+    (OBSERVATIONS + GOOD_ROW + "DE-FR,2013,2\n", "line 3: expected 6 columns"),
+    (OBSERVATIONS + GOOD_ROW + "DE-FR,2013,2,3,-0.05,-2.995732273553991\n",
+     "line 3: mean_fwci -0.05 is negative"),
+    (OBSERVATIONS + GOOD_ROW + "DE-FR,2013,2,3,1.5,0.47\n",
+     "line 3: log_fwci 0.47 is not ln(mean_fwci + 0.1) = 0.47000362924573563"),
+], ids=["nan", "inf", "missing-column", "country-count", "short-row", "negative", "log"])
 def test_regress_rejects_a_bad_observation_csv_by_line(workdir, capsys, text, message):
     (workdir / "obs.csv").write_text(text)
     assert run("regress", "--input", "obs.csv", "--out", "report.txt") == 1
@@ -301,6 +307,85 @@ def test_gen_config_names_a_missing_key(workdir, capsys):
     assert run("gen", "--seed", "1", "--config", "cfg.json", "--out", "raw.jsonl") == 1
     assert "error: cfg.json: missing key 'citation_model'" in capsys.readouterr().err
     assert not (workdir / "raw.jsonl").exists()
+
+
+GEN_CONFIG = {
+    "n_countries": 20, "n_papers": 50, "years": [2013], "attachment_strength": 0.5,
+    "countries_per_paper": {"1": 0.5, "2": 0.5},
+    "citation_model": {"means": [
+        {"field": "Soil, Science", "year": 2013, "doctype": "article", "mean": 3.0}]}}
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"n_countries": 20,', "Expecting property name enclosed in double quotes: "
+                            "line 1 column 20 (char 19)"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    (json.dumps({**GEN_CONFIG, "citation_model": [1]}),
+     "list indices must be integers or slices, not str"),
+    (json.dumps({**GEN_CONFIG, "years": 2013}), "'int' object is not iterable"),
+    (json.dumps({**GEN_CONFIG, "n_papers": "many"}),
+     "invalid literal for int() with base 10: 'many'"),
+    (json.dumps({**GEN_CONFIG, "countries_per_paper": [1, 2]}),
+     "'list' object has no attribute 'items'"),
+    (json.dumps({**GEN_CONFIG, "n_papers": math.inf}),
+     "cannot convert float infinity to integer"),
+    (json.dumps({**GEN_CONFIG, "n_countries": 1}), "n_countries must be >= 2"),
+    (json.dumps({**GEN_CONFIG, "attachment_strength": math.nan}),
+     "attachment_strength must be finite and >= 0"),
+    (json.dumps({**GEN_CONFIG, "countries_per_paper": {"1": math.nan, "2": 1.0}}),
+     "countries_per_paper probabilities must be >= 0"),
+], ids=["bad-json", "not-an-object", "model-type", "years-type", "count-type",
+        "sizes-type", "count-inf", "invalid", "strength-nan", "probability-nan"])
+def test_gen_config_fault_exits_one_naming_the_file(workdir, capsys, text, message):
+    (workdir / "cfg.json").write_text(text)
+    assert run("gen", "--seed", "1", "--config", "cfg.json", "--out", "raw.jsonl") == 1
+    assert f"collabnet gen: error: cfg.json: {message}\n" in capsys.readouterr().err
+    assert not (workdir / "raw.jsonl").exists()
+
+
+def test_gen_map_quotes_a_field_label_with_a_comma(workdir):
+    (workdir / "cfg.json").write_text(json.dumps(GEN_CONFIG))
+    assert run("gen", "--seed", "1", "--config", "cfg.json", "--out", "raw.jsonl",
+               "--map-out", "map.csv") == 0
+    assert run("ingest", "--input", "raw.jsonl", "--map", "map.csv",
+               "--out", "corpus.jsonl") == 0
+    lines = (workdir / "corpus.jsonl").read_text().splitlines()
+    assert len(lines) == 50
+    assert {json.loads(line)["specialty"] for line in lines} == {"Soil, Science"}
+
+
+@pytest.mark.parametrize("argv,data,message", [
+    (["stats", "--input", "bad.csv"], b"US,DE\nDE,F\xffR\n",
+     "line 2: not valid UTF-8 at character 5"),
+    (["ingest", "--input", "raw.jsonl", "--map", "bad.csv"],
+     b"journal,specialty\nJournal of Virology,Virology\nJ\xff,Virology\n",
+     "line 3: not valid UTF-8 at character 2"),
+    (["trends", "--input", "bad.csv"],
+     b"specialty,year,nodes,edges\nA,2008,3,5\nA\xff,2013,4,6\n",
+     "line 3: not valid UTF-8 at character 2"),
+    (["regress", "--input", "bad.csv"],
+     (OBSERVATIONS + GOOD_ROW).encode() + b"DE-FR,2013,2,3,1.5\xff,0.47\n",
+     "line 3: not valid UTF-8 at character 19"),
+], ids=["edgelist", "map", "stats", "observations"])
+def test_csv_input_byte_that_is_not_utf8_exits_one_with_its_line(workdir, capsys,
+                                                                 argv, data, message):
+    (workdir / "bad.csv").write_bytes(data)
+    (workdir / "raw.jsonl").write_text(
+        '{"id":"p1","year":2013,"journal":"J1","countries":["US"],"citations":1}\n')
+    assert run(*argv, "--out", "out.txt") == 1
+    assert f"error: bad.csv: {message}\n" in capsys.readouterr().err
+    assert not (workdir / "out.txt").exists()
+
+
+def test_gen_and_regress_write_dash_to_stdout(workdir, capsys):
+    gen_corpus(workdir)
+    assert run("regress", "--input", "corpus.jsonl", "--out", "report.txt") == 0
+    capsys.readouterr()
+    assert run("gen", "--seed", "42", "--n-papers", "600", "--out", "-") == 0
+    assert capsys.readouterr().out == (workdir / "raw.jsonl").read_text()
+    assert run("regress", "--input", "corpus.jsonl", "--out", "-") == 0
+    assert capsys.readouterr().out == (workdir / "report.txt").read_text()
+    assert not list(workdir.glob("-*"))
 
 
 def test_every_output_has_a_manifest(workdir):
@@ -441,7 +526,8 @@ def test_build_no_header_flag(workdir):
 
 
 # Run in a fresh interpreter: the collabnet modules and the numpy/scipy
-# packages loaded by importing the CLI and then running one command.
+# packages loaded by importing the CLI and then running one command, and
+# whether the XML parser got loaded.
 IMPORT_PROBE = """
 import json, sys
 
@@ -450,7 +536,8 @@ argv = json.loads(sys.argv[1])
 code = collabnet.cli.main(argv) if argv else None
 loaded = [m for m in sys.modules if m.partition(".")[0] in ("collabnet", "numpy", "scipy")]
 print(json.dumps([code, sorted({m.partition(".")[0] for m in loaded} - {"collabnet"}),
-                  sorted(m for m in loaded if m.startswith("collabnet"))]))
+                  sorted(m for m in loaded if m.startswith("collabnet")),
+                  "xml.etree.ElementTree" in sys.modules]))
 """
 
 CLI_MODULES = ["collabnet", "collabnet.cli", "collabnet.corpus", "collabnet.countries",
@@ -484,7 +571,8 @@ def test_light_commands_load_no_numpy_or_scipy(workdir):
     for argv, heavy, extra in COMMAND_MODULES:
         proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
                               cwd=workdir, env=env, capture_output=True, text=True, check=True)
-        code, loaded_heavy, modules = json.loads(proc.stdout)
+        code, loaded_heavy, modules, xml_parser = json.loads(proc.stdout)
         assert code == (0 if argv else None), argv
         assert loaded_heavy == heavy, argv  # never scipy
         assert modules == sorted(CLI_MODULES + [f"collabnet.{m}" for m in extra]), argv
+        assert not xml_parser, argv  # only reading GraphML needs it, and no command here does

@@ -10,13 +10,21 @@ and FR alone brokers the two GB paths, for a betweenness centralization of
 """
 
 import dataclasses
+import hashlib
+import json
 
+import numpy as np
 import pytest
 
+from collabnet import __version__
 from collabnet.cli import main
-from collabnet.corpus import Corpus, PublicationRecord
+from collabnet.corpus import Corpus, PublicationRecord, write_rejections
+from collabnet.impact import make_observation, write_observations
+from collabnet.lmm import LmmFit, report_csv
+from collabnet.longit import TrendPoint, TrendSeries, trends_csv
 from collabnet.metrics import compute_stats, stats_csv_text, stats_json_text
 from collabnet.netbuild import build_network, cosine_weights, export
+from collabnet.syngen import TruthRow, truth_csv
 
 
 def rec(rid, countries, year=2013):
@@ -72,14 +80,20 @@ def test_all_years_grid_bytes(tmp_path, monkeypatch, net):
     (tmp_path / "Virology-2008.csv").write_text("DE,FR\nFR,US\n")
     assert main(["stats", "--input", "Virology-2008.csv", "Virology-2013.csv",
                  "--all-years", "--out", "grid.txt"]) == 0
-    assert (tmp_path / "grid.txt").read_text() == (
+    grid = (tmp_path / "grid.txt").read_text()
+    assert grid == (
         "Field / Measure      2008      2013\n"
         "Virology\n"
-        "  Avg. Degree      1.33      2.00\n"
-        "  Density         0.67      0.67\n"
-        "  Betweenness      1.00      0.67\n"
-        "  Clustering      0.00      0.60\n"
-        "  Avg. Cluster      0.00      0.58\n")
+        "  Avg. Degree        1.33      2.00\n"
+        "  Density            0.67      0.67\n"
+        "  Betweenness        1.00      0.67\n"
+        "  Clustering         0.00      0.60\n"
+        "  Avg. Cluster       0.00      0.58\n")
+    # every year column ends at the same offset on every row
+    rows = [line for line in grid.splitlines() if line != "Virology"]
+    for year in ("2008", "2013"):
+        end = rows[0].index(year) + len(year)
+        assert {len(row[:end].rstrip()) for row in rows} == {end}
 
 
 def test_graphml_bytes(net):
@@ -143,3 +157,99 @@ def test_corpus_save_bytes(tmp_path):
         b'{"citations":3,"countries":["DE","FR","US"],"doctype":"article",'
         b'"field":"Virology","id":"p1","journal":"Journal of Virology",'
         b'"specialty":"Virology","year":2013}\n')
+
+
+# A label with a comma and a cell with a quote check that every CSV output quotes.
+COMMA = "Soil, Science"
+
+
+def test_trends_csv_bytes():
+    series = [TrendSeries(COMMA, (TrendPoint(2008, 2, 1), TrendPoint(2013, 4, 4, 3))),
+              TrendSeries("Virology", (TrendPoint(2008, 3, 2, 2), TrendPoint(2013, 4, 5, 2)))]
+    assert trends_csv(series) == (
+        "specialty,year,nodes,edges,diameter,node_share,edge_share,pooled_node_share\n"
+        '"Soil, Science",2008,2,1,,0.5,0.25,0.625\n'
+        '"Soil, Science",2013,4,4,3,1.0,1.0,1.0\n'
+        "Virology,2008,3,2,2,0.75,0.4,0.625\n"
+        "Virology,2013,4,5,2,1.0,1.0,1.0\n")
+
+
+def test_report_csv_bytes():
+    fit = LmmFit(names=("intercept", "year"), beta=np.array([0.5, -0.25]),
+                 se=np.array([0.1, 0.5]), sigma_u2=0.25, sigma2=1.5, loglik=-3.0, aic=14.0,
+                 n=10, n_groups=4, psi=1 / 6)
+    # p = 2 * Phi(-|estimate| / se): 2 * Phi(-5) and 2 * Phi(-0.5)
+    assert report_csv({COMMA: fit}) == (
+        "model,term,estimate,se,p,stars\n"
+        '"Soil, Science",Intercept,0.5,0.1,5.733031437583866e-07,***\n'
+        '"Soil, Science",Year,-0.25,0.5,0.6170750774519738,\n'
+        '"Soil, Science",Random Effect,0.25,,,\n'
+        '"Soil, Science",Residual,1.5,,,\n'
+        '"Soil, Science",AIC,14.0,,,\n'
+        '"Soil, Science",N,10,,,\n')
+
+
+def test_observations_csv_bytes(tmp_path):
+    obs = [make_observation(("DE", "US"), 2013, [1.0, 2.0]),
+           make_observation(("DE", "FR", "US"), 2013, [0.0])]
+    write_observations(obs, tmp_path / "obs.csv")
+    # log_fwci = ln(mean_fwci + 0.1): ln 1.6 and ln 0.1
+    assert (tmp_path / "obs.csv").read_bytes() == (
+        b"combo_id,year,country_count,publication_count,mean_fwci,log_fwci\n"
+        b"DE-US,2013,2,2,1.5,0.47000362924573563\n"
+        b"DE-FR-US,2013,3,1,0.0,-2.3025850929940455\n")
+
+
+def test_rejections_csv_bytes(tmp_path):
+    write_rejections([("line:3", "malformed record: Expecting value"),
+                      ('p"2', "unknown country code: XX, YY")], tmp_path / "rej.csv")
+    assert (tmp_path / "rej.csv").read_bytes() == (
+        b"id,reason\n"
+        b"line:3,malformed record: Expecting value\n"
+        b'"p""2","unknown country code: XX, YY"\n')
+
+
+def test_truth_csv_bytes():
+    assert truth_csv([TruthRow("p1", 2013, COMMA, "article", ("US", "DE"), 4)]) == (
+        "id,year,field,doctype,countries,citations\n"
+        'p1,2013,"Soil, Science",article,US-DE,4\n')
+
+
+def test_gen_map_csv_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--seed", "3", "--n-papers", "5", "--out", "raw.jsonl",
+                 "--map-out", "map.csv"]) == 0
+    assert (tmp_path / "map.csv").read_bytes() == (
+        b"journal,specialty\n"
+        b"Journal of Astrophysics,Astrophysics\n"
+        b"Journal of Mathematical Logic,Mathematical Logic\n"
+        b"Journal of Polymer Science,Polymer Science\n"
+        b"Journal of Seismology,Seismology\n"
+        b"Journal of Soil Science,Soil Science\n"
+        b"Journal of Virology,Virology\n")
+
+
+def test_manifest_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stats.csv").write_text("specialty,year,nodes,edges\nA,2008,2,1\nA,2013,4,4\n")
+    assert main(["trends", "--input", "stats.csv", "--out", "trends.csv"]) == 0
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    # config_hash is the SHA-256 of the command's options as sorted-key JSON
+    options = {"command": "trends", "input": "stats.csv", "out": "trends.csv", "table2": False}
+    config_hash = hashlib.sha256(json.dumps(options, sort_keys=True).encode()).hexdigest()
+    assert config_hash == "70e606677a4a613b348d6929596b6f1dd679db102c2eb9ffd497f8c15e3a97ea"
+    assert (tmp_path / "trends.csv.manifest.json").read_text() == (
+        "{\n"
+        '  "command": "trends",\n'
+        f'  "config_hash": "{config_hash}",\n'
+        '  "inputs": {\n'
+        f'    "stats.csv": "{digest("stats.csv")}"\n'
+        "  },\n"
+        '  "outputs": {\n'
+        f'    "trends.csv": "{digest("trends.csv")}"\n'
+        "  },\n"
+        f'  "version": "{__version__}"\n'
+        "}\n")
