@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 validation / usage error, 2 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -82,41 +81,44 @@ def _write_output(args: argparse.Namespace, text: str, inputs: list[Path], *outp
 def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
     from . import syngen
 
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
-            means = {(m["field"], int(m["year"]), m["doctype"]): float(m["mean"])
-                     for m in raw["citation_model"]["means"]}
-            model = syngen.CitationModel(
-                means=means, dispersion=float(raw["citation_model"].get("dispersion", 1.5)))
-            cfg = syngen.GenConfig(
-                seed=int(raw.get("seed", args.seed)),
-                n_countries=int(raw["n_countries"]),
-                n_papers=int(raw["n_papers"]),
-                years=tuple(int(y) for y in raw["years"]),
-                countries_per_paper={int(k): float(v)
-                                     for k, v in raw["countries_per_paper"].items()},
-                attachment_strength=float(raw["attachment_strength"]),
-                citation_model=model,
-            )
-            cfg.validate()
-        except KeyError as exc:
-            raise CliError(f"{args.config}: missing key {exc}") from None
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:  # bad type or JSON
-            raise CliError(f"{args.config}: {exc}") from None
-    else:
-        cfg = syngen.GenConfig.default(
+    if not args.config:
+        return syngen.GenConfig.default(
             seed=args.seed,
             n_countries=args.n_countries,
             n_papers=args.n_papers,
             years=tuple(int(y) for y in args.years.split(",")),
             attachment_strength=args.attachment_strength,
         )
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    converters = {
+        "n_countries": int,
+        "n_papers": int,
+        "years": lambda v: tuple(int(y) for y in v),
+        "countries_per_paper": lambda v: {int(k): float(p) for k, p in v.items()},
+        "attachment_strength": float,
+        "citation_model": lambda v: syngen.CitationModel(
+            means={(m["field"], int(m["year"]), m["doctype"]): float(m["mean"])
+                   for m in v["means"]},
+            dispersion=float(v.get("dispersion", 1.5))),
+    }
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        if "seed" in raw:
+            raise ValueError("seed: not a config key; pass --seed")
+        fields = {}
+        for key, convert in converters.items():
+            try:
+                fields[key] = convert(raw[key])
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        cfg = syngen.GenConfig(seed=args.seed, **fields)
+        cfg.validate()
+    except KeyError as exc:
+        raise CliError(f"{args.config}: missing key {exc}") from None
+    except ValueError as exc:  # bad JSON, a bad field or an invalid config
+        raise CliError(f"{args.config}: {exc}") from None
     return cfg
 
 

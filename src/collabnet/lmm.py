@@ -6,11 +6,15 @@ Model for observation j in group g:
 
 The variance ratio psi = sigma_u^2 / sigma^2 is the only free parameter in
 the profiled likelihood: given psi, beta has the closed-form GLS solution
-and sigma^2 follows from the weighted residual sum of squares. The profile
-is evaluated from per-group sufficient statistics (group sizes, group sums
-of X and y), making one evaluation linear in the number of observations.
-psi is then minimized by a bracketed scalar search with lower bound 0, so
-boundary solutions (no group variance) are representable exactly.
+and sigma^2 follows from the weighted residual sum of squares. A group
+enters only through c = psi / (1 + psi n_g), a function of its size, so the
+profile keeps per-size sums of the group sums of X and y, and one
+evaluation costs O(K p^2) for K distinct group sizes. The fit runs in a
+centered, scaled basis Z = X M, as lme4 does (Bates, Maechler, Bolker and
+Walker 2015), so raw calendar years cost no precision; beta = M beta_z.
+psi comes from the exact slope of the profiled deviance, bisected inside
+the bracket of a log-spaced grid, and the boundary psi = 0 is taken when
+the slope there is >= 0 or it fits at least as well.
 
 ML rather than REML is used throughout because AIC comparisons require the
 full likelihood; standard errors come from the inverse GLS information
@@ -67,7 +71,8 @@ class LmmFit:
 
 
 def _group_codes(groups: Sequence) -> tuple[np.ndarray, list]:
-    labels = sorted(set(groups))
+    # by type name first, so labels of mixed types sort; one type keeps its order
+    labels = sorted(set(groups), key=lambda g: (type(g).__name__, g))
     index = {g: i for i, g in enumerate(labels)}
     codes = np.fromiter((index[g] for g in groups), dtype=np.int64, count=len(groups))
     return codes, labels
@@ -80,8 +85,26 @@ def _canonical_order(y: np.ndarray, X: np.ndarray, codes: np.ndarray) -> np.ndar
     return np.lexsort(keys)
 
 
+def _centered(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, M) with Z = X M: every other column centered through the first
+    constant column, if there is one, then every column scaled to unit root
+    mean square."""
+    M = np.eye(X.shape[1])
+    const = [j for j in range(X.shape[1]) if X[0, j] != 0 and np.all(X[:, j] == X[0, j])]
+    if const:
+        k = const[0]
+        shift = X.mean(axis=0) / X[0, k]
+        shift[k] = 0.0
+        M[k] -= shift
+    Z = X @ M
+    spread = np.sqrt(np.mean(Z * Z, axis=0))
+    return Z / spread, M / spread
+
+
 class _Profile:
-    """Profiled deviance machinery over per-group sufficient statistics."""
+    """Profiled deviance D(psi) and its slope, from sums over the groups of
+    each distinct size m: G_m = sum S_g S_g', h_m = sum t_g S_g and
+    w_m = sum t_g^2, where S_g and t_g are the group sums of X and y."""
 
     def __init__(self, y: np.ndarray, X: np.ndarray, codes: np.ndarray, n_groups: int):
         self.n, self.p = X.shape
@@ -92,34 +115,58 @@ class _Profile:
         self.t = np.bincount(codes, weights=y, minlength=n_groups)
         self.S = np.zeros((n_groups, self.p))
         np.add.at(self.S, codes, X)
+        by_size = np.argsort(self.sizes, kind="stable")
+        self.m, self.N = np.unique(self.sizes, return_counts=True)
+        blocks = np.split(by_size, np.cumsum(self.N)[:-1])
+        self.G = np.array([self.S[b].T @ self.S[b] for b in blocks])
+        self.h = np.array([self.t[b] @ self.S[b] for b in blocks])
+        self.w = np.array([self.t[b] @ self.t[b] for b in blocks])
+
+    def _gls(self, psi: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """(beta, information, weighted residual sum of squares q) at psi."""
+        c = psi / (1.0 + psi * self.m)
+        A = self.XtX - np.tensordot(c, self.G, 1)
+        r = self.Xty - c @ self.h
+        beta = np.linalg.solve(A, r)
+        return beta, A, self.yty - float(c @ self.w) - float(beta @ r)
 
     def solve(self, psi: float) -> tuple[float, np.ndarray, float, np.ndarray]:
         """(deviance, beta, sigma2, information) at a given variance ratio."""
-        c = psi / (1.0 + psi * self.sizes)
-        A = self.XtX - (self.S * c[:, None]).T @ self.S
-        r = self.Xty - self.S.T @ (c * self.t)
-        beta = np.linalg.solve(A, r)
-        q = self.yty - float(c @ (self.t ** 2)) - float(beta @ r)
+        beta, A, q = self._gls(psi)
         if q <= 0:
             return math.inf, beta, 0.0, A
         sigma2 = q / self.n
         deviance = (self.n * math.log(2.0 * math.pi * sigma2)
-                    + float(np.sum(np.log1p(psi * self.sizes)))
-                    + self.n)
+                    + float(self.N @ np.log1p(psi * self.m)) + self.n)
         return deviance, beta, sigma2, A
 
     def deviance(self, psi: float) -> float:
         return self.solve(psi)[0]
 
+    def slope(self, psi: float) -> float:
+        """dD/dpsi = n q'/q + sum_m N_m m / (1 + psi m), where q' takes
+        dc_m/dpsi = 1 / (1 + psi m)^2 through q at the GLS beta."""
+        beta, _, q = self._gls(psi)
+        dc = 1.0 / (1.0 + psi * self.m) ** 2
+        dq = (-float(dc @ self.w) + 2.0 * float(beta @ (dc @ self.h))
+              - float(beta @ np.tensordot(dc, self.G, 1) @ beta))
+        return self.n * dq / q + float(self.N @ (self.m / (1.0 + psi * self.m)))
 
-def profile_deviance(y, X, groups, psi: float) -> float:
-    """Minus twice the profiled log-likelihood at a given variance ratio."""
+
+def _profile(y, X, groups) -> tuple[_Profile, np.ndarray, list]:
+    """The profile of the centered design in canonical row order, with the
+    basis change M and the group labels."""
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     codes, labels = _group_codes(groups)
     order = _canonical_order(y, X, codes)
-    prof = _Profile(y[order], X[order], codes[order], len(labels))
-    return prof.deviance(psi)
+    Z, M = _centered(X[order])
+    return _Profile(y[order], Z, codes[order], len(labels)), M, labels
+
+
+def profile_deviance(y, X, groups, psi: float) -> float:
+    """Minus twice the profiled log-likelihood at a given variance ratio."""
+    return _profile(y, X, groups)[0].deviance(psi)
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
@@ -150,93 +197,15 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
         raise ValueError(f"rank-deficient design: collinear columns {', '.join(bad)}")
 
 
-def _fminbound(func, x1: float, x2: float, xatol: float) -> float:
-    """Minimizer of func on [x1, x2] by Brent's bounded golden-section and
-    parabolic search.
-
-    An operation-for-operation port of SciPy's `_minimize_scalar_bounded`
-    (scipy/optimize/_optimize.py, BSD-3) with its default maxiter, so it
-    returns the bits of `minimize_scalar(..., method="bounded").x`.
-    """
-    maxfun = 500
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf
-
-
-def _sign(x: float) -> float:
-    """np.sign(x) + (x == 0): the step direction, +1 at zero."""
-    return -1.0 if x < 0 else 1.0 if x >= 0 else math.nan
-
-
 def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> LmmFit:
     """Maximum-likelihood fit of the random-intercept model.
 
-    `groups` assigns each row to its random-effect group. The search over
-    psi = sigma_u^2/sigma^2 runs a coarse log-spaced scan followed by a
-    bounded Brent refinement to 1e-8 relative tolerance, and the boundary
-    psi = 0 is always considered, so data without group structure yield the
-    ordinary least-squares solution exactly.
+    `groups` assigns each row to its random-effect group. A log-spaced grid
+    of psi = sigma_u^2/sigma^2 brackets the minimum, and bisection on the
+    sign of the exact slope narrows it to 1e-12 relative. psi = 0 is taken
+    when the bracket starts at 0 with a slope >= 0 there, or when it fits
+    at least as well as the minimum found, so data without group structure
+    yield the ordinary least-squares solution exactly.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -249,11 +218,7 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> Lm
             f"for {p} fixed effects plus 2 variance parameters")
     names = tuple(names) if names is not None else tuple(f"x{j}" for j in range(p))
     _check_rank(X, names)
-
-    codes, labels = _group_codes(groups)
-    order = _canonical_order(y, X, codes)
-    y, X, codes = y[order], X[order], codes[order]
-    prof = _Profile(y, X, codes, len(labels))
+    prof, M, labels = _profile(y, X, groups)
 
     if np.all(prof.sizes <= 1):
         warnings.warn("all groups have size 1: the group and residual variances "
@@ -261,26 +226,30 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> Lm
         psi_hat = 0.0
     else:
         grid = np.concatenate(([0.0], np.logspace(-10, 6, 129)))
-        devs = np.array([prof.deviance(g) for g in grid])
-        i = int(np.argmin(devs))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[i + 1] if i + 1 < len(grid) else grid[i] * 10.0
-        psi_hat = float(_fminbound(prof.deviance, lo, hi, xatol=1e-8 * max(1.0, grid[i])))
+        i = int(np.argmin([prof.deviance(g) for g in grid]))
+        lo = float(grid[max(i - 1, 0)])
+        hi = float(grid[i + 1] if i + 1 < len(grid) else grid[i] * 10.0)
+        if lo == 0.0 and prof.slope(0.0) >= 0:
+            hi = 0.0
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if prof.slope(mid) < 0 else (lo, mid)
+        psi_hat = hi
         if prof.deviance(0.0) <= prof.deviance(psi_hat):
             psi_hat = 0.0
 
-    deviance, beta, sigma2, A = prof.solve(psi_hat)
+    deviance, beta_z, sigma2, A = prof.solve(psi_hat)
     loglik = -0.5 * deviance
     k = p + 2
     aic = 2.0 * k - 2.0 * loglik
-    cov_beta = sigma2 * np.linalg.inv(A)
+    cov_beta = sigma2 * M @ np.linalg.inv(A) @ M.T
     se = np.sqrt(np.diag(cov_beta))
 
     c = psi_hat / (1.0 + psi_hat * prof.sizes)
-    u = c * (prof.t - prof.S @ beta)
+    u = c * (prof.t - prof.S @ beta_z)
     group_effects = {g: float(u[i]) for i, g in enumerate(labels)}
 
-    return LmmFit(names=names, beta=beta, se=se,
+    return LmmFit(names=names, beta=M @ beta_z, se=se,
                   sigma_u2=psi_hat * sigma2, sigma2=sigma2,
                   loglik=loglik, aic=aic, n=n, n_groups=len(labels),
                   psi=psi_hat, group_effects=group_effects)

@@ -118,11 +118,11 @@ class TruthRow(NamedTuple):
     citations: int
 
 
-def _pick_index(u: float, weights: np.ndarray) -> int:
-    cdf = np.cumsum(weights)
+def _pick_index(u: float, cdf: np.ndarray) -> int:
     return int(np.searchsorted(cdf, u * cdf[-1], side="right"))
 
 
+@np.errstate(over="ignore")  # an overflow of the weights is reported, naming the paper
 def generate(config: GenConfig) -> tuple[list[dict], list[TruthRow]]:
     """Generate `n_papers` records plus the ground-truth draw log.
 
@@ -154,11 +154,15 @@ def generate(config: GenConfig) -> tuple[list[dict], list[TruthRow]]:
         size = size_values[int(np.searchsorted(size_cdf, rng_struct.random()
                                                * size_cdf[-1], side="right"))]
         weights = (participation + 1).astype(float) ** config.attachment_strength
-        drawn: list[int] = []
-        for _ in range(size):
-            idx = _pick_index(rng_struct.random(), weights)
-            drawn.append(idx)
-            weights[idx] = 0.0
+        cdf = np.cumsum(weights)
+        if not cdf[-1] < np.inf:
+            raise ValueError(f"attachment_strength {config.attachment_strength:g} "
+                             f"overflows the country weights at paper {i}")
+        drawn = [_pick_index(rng_struct.random(), cdf)]
+        for _ in range(size - 1):
+            weights[drawn[-1]] = 0.0
+            cdf = np.cumsum(weights)
+            drawn.append(_pick_index(rng_struct.random(), cdf))
         participation[drawn] += 1
 
         year = years[int(rng_annot.integers(len(years)))]

@@ -321,26 +321,38 @@ GEN_CONFIG = {
                             "line 1 column 20 (char 19)"),
     ("[1, 2]", "expected a JSON object, got list"),
     (json.dumps({**GEN_CONFIG, "citation_model": [1]}),
-     "list indices must be integers or slices, not str"),
-    (json.dumps({**GEN_CONFIG, "years": 2013}), "'int' object is not iterable"),
+     "citation_model: list indices must be integers or slices, not str"),
+    (json.dumps({**GEN_CONFIG, "years": 2013}), "years: 'int' object is not iterable"),
     (json.dumps({**GEN_CONFIG, "n_papers": "many"}),
-     "invalid literal for int() with base 10: 'many'"),
+     "n_papers: invalid literal for int() with base 10: 'many'"),
     (json.dumps({**GEN_CONFIG, "countries_per_paper": [1, 2]}),
-     "'list' object has no attribute 'items'"),
+     "countries_per_paper: 'list' object has no attribute 'items'"),
     (json.dumps({**GEN_CONFIG, "n_papers": math.inf}),
-     "cannot convert float infinity to integer"),
+     "n_papers: cannot convert float infinity to integer"),
     (json.dumps({**GEN_CONFIG, "n_countries": 1}), "n_countries must be >= 2"),
+    (json.dumps({**GEN_CONFIG, "seed": 5}), "seed: not a config key; pass --seed"),
     (json.dumps({**GEN_CONFIG, "attachment_strength": math.nan}),
      "attachment_strength must be finite and >= 0"),
     (json.dumps({**GEN_CONFIG, "countries_per_paper": {"1": math.nan, "2": 1.0}}),
      "countries_per_paper probabilities must be >= 0"),
 ], ids=["bad-json", "not-an-object", "model-type", "years-type", "count-type",
-        "sizes-type", "count-inf", "invalid", "strength-nan", "probability-nan"])
+        "sizes-type", "count-inf", "invalid", "seed-key", "strength-nan", "probability-nan"])
 def test_gen_config_fault_exits_one_naming_the_file(workdir, capsys, text, message):
     (workdir / "cfg.json").write_text(text)
     assert run("gen", "--seed", "1", "--config", "cfg.json", "--out", "raw.jsonl") == 1
     assert f"collabnet gen: error: cfg.json: {message}\n" in capsys.readouterr().err
     assert not (workdir / "raw.jsonl").exists()
+
+
+def test_gen_overflowing_attachment_strength_exits_one_naming_the_paper(workdir, capsys):
+    # the suite turns a RuntimeWarning (overflow in power) into an error
+    assert run("gen", "--seed", "1", "--attachment-strength", "300", "--out", "raw.jsonl") == 1
+    assert capsys.readouterr().err == ("collabnet gen: error: attachment_strength 300 "
+                                       "overflows the country weights at paper 11\n")
+    assert not (workdir / "raw.jsonl").exists()
+    # a strength whose weights stay finite for the whole run still generates
+    assert run("gen", "--seed", "1", "--attachment-strength", "120", "--n-papers", "200",
+               "--out", "raw.jsonl") == 0
 
 
 def test_gen_map_quotes_a_field_label_with_a_comma(workdir):

@@ -52,13 +52,37 @@ def test_simulate_and_recover():
     assert f.n_groups == 2000
 
 
+def with_year(X: np.ndarray, first_year: int, seed: int) -> np.ndarray:
+    """X with its last column replaced by calendar years first_year or first_year + 5."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return np.column_stack([X[:, :-1], first_year + 5.0 * rng.integers(0, 2, len(X))])
+
+
 def test_profiled_optimum_dominates_grid_oracle():
     y, X, groups, _ = simulate(seed=8, n_groups=400)
+    for design in (X, *(with_year(X, first, seed=8) for first in (1990, 2000, 2013))):
+        f = fit_random_intercept(y, design, groups, names=NAMES)
+        best = -2.0 * f.loglik
+        for psi in np.logspace(-8, 4, 200):
+            assert best <= profile_deviance(y, design, groups, psi) + 1e-6
+        assert best <= profile_deviance(y, design, groups, 0.0) + 1e-6
+
+
+@pytest.mark.parametrize("shift", [2000, -2008, -10000])
+def test_year_shift_moves_only_the_intercept(shift):
+    # group sizes 1 to 4; raw calendar years against the same years shifted
+    y, X, _, _ = simulate(seed=16, n_groups=3000, per_group=1)
+    rng = np.random.Generator(np.random.Philox(17))
+    groups = [f"g{g}" for g in np.sort(rng.integers(0, 1200, len(y)))]
+    X = with_year(X, 2008, seed=18)
     f = fit_random_intercept(y, X, groups, names=NAMES)
-    best = -2.0 * f.loglik
-    for psi in np.logspace(-8, 4, 200):
-        assert best <= profile_deviance(y, X, groups, psi) + 1e-6
-    assert best <= profile_deviance(y, X, groups, 0.0) + 1e-6
+    g = fit_random_intercept(y, X + [0.0, 0.0, 0.0, shift], groups, names=NAMES)
+    assert f.psi > 0
+    assert g.psi == pytest.approx(f.psi, rel=1e-10, abs=0)
+    assert np.allclose(g.beta[1:], f.beta[1:], rtol=1e-10, atol=0)
+    assert np.allclose(g.se[1:], f.se[1:], rtol=1e-10, atol=0)
+    assert g.coef("intercept") == pytest.approx(f.coef("intercept") - shift * f.coef("x3"),
+                                                rel=1e-9)
 
 
 def test_aic_definitional_identity():
@@ -92,6 +116,36 @@ def test_profile_deviance_matches_dense_multivariate_normal():
         assert profile_deviance(y, X, groups, psi) == pytest.approx(dense(psi), abs=1e-8)
 
 
+def test_collapsed_profile_and_slope_match_dense_multivariate_normal():
+    # groups of sizes 1 to 3, each size shared by several groups, and raw years
+    rng = np.random.default_rng(19)
+    sizes = rng.integers(1, 4, 30)
+    codes = np.repeat(np.arange(30), sizes)
+    n = len(codes)
+    X = np.column_stack([np.ones(n), rng.normal(size=n), rng.choice([2008.0, 2013.0], n)])
+    y = X @ np.array([60.0, 1.0, -0.03]) + rng.normal(0, 0.7, 30)[codes] + rng.normal(size=n)
+    prof = lmm._profile(y, X, [int(c) for c in codes])[0]
+    assert len(prof.m) < len(prof.sizes)
+    Zg = np.zeros((n, 30))
+    Zg[np.arange(n), codes] = 1.0
+
+    def dense(psi):
+        # whitened least squares: V = L L', and r' V^-1 r is |L^-1 r|^2
+        V = np.eye(n) + psi * Zg @ Zg.T
+        L = np.linalg.cholesky(V)
+        b = np.linalg.lstsq(np.linalg.solve(L, X), np.linalg.solve(L, y), rcond=None)[0]
+        Vr = np.linalg.solve(V, y - X @ b)
+        q = (y - X @ b) @ Vr
+        deviance = n * math.log(2 * math.pi * q / n) + np.linalg.slogdet(V)[1] + n
+        trace = np.trace(np.linalg.solve(V, Zg @ Zg.T))
+        return deviance, n * -(Vr @ Zg @ Zg.T @ Vr) / q + trace, trace
+
+    for psi in (0.0, 0.01, 0.2, 1.5, 12.0, 100.0):
+        deviance, slope, scale = dense(psi)
+        assert prof.deviance(psi) == pytest.approx(deviance, rel=1e-9)
+        assert prof.slope(psi) == pytest.approx(slope, rel=1e-9, abs=1e-9 * scale)
+
+
 def test_no_group_structure_gives_zero_variance_and_ols_beta():
     # residuals +d/-d within every group: group means carry no variance
     rng = np.random.default_rng(4)
@@ -101,10 +155,25 @@ def test_no_group_structure_gives_zero_variance_and_ols_beta():
     e = np.tile([0.8, -0.8], n_groups)
     y = X @ beta + e
     groups = [f"g{i}" for i in np.repeat(np.arange(n_groups), 2)]
+    assert lmm._profile(y, X, groups)[0].slope(0.0) >= 0
     f = fit_random_intercept(y, X, groups, names=("intercept", "x1"))
+    assert f.psi == 0.0
     assert f.sigma_u2 == 0.0
     ols, *_ = np.linalg.lstsq(X, y, rcond=None)
     assert np.allclose(f.beta, ols, atol=1e-10)
+
+
+def test_mixed_type_group_labels_sort_by_type_then_value():
+    assert lmm._group_codes(["b", "a", "b"])[1] == ["a", "b"]
+    assert lmm._group_codes([("DE", "US"), ("CN", "US")])[1] == [("CN", "US"), ("DE", "US")]
+    codes, labels = lmm._group_codes([2, "a", 1, "a"])
+    assert labels == [1, 2, "a"]
+    assert codes.tolist() == [1, 2, 0, 2]
+    y, X, groups, _ = simulate(seed=20, n_groups=100)
+    mixed = [int(g[1:]) if int(g[1:]) % 2 else g for g in groups]
+    f = fit_random_intercept(y, X, mixed, names=NAMES)
+    assert f.psi == pytest.approx(fit_random_intercept(y, X, groups, names=NAMES).psi, rel=1e-10)
+    assert f.n_groups == 100 and 1 in f.group_effects and "g00000" in f.group_effects
 
 
 def test_statsmodels_ml_cross_check():
@@ -180,25 +249,6 @@ def test_rank_check_names_the_columns_a_pivoted_qr_drops(columns, names):
         assert str(exc.value).endswith(f"collinear columns {', '.join(dropped)}")
     else:
         lmm._check_rank(X, names)
-
-
-def test_fminbound_port_is_bit_identical_to_scipy_bounded_search():
-    from scipy.optimize import minimize_scalar
-
-    cases = [(lambda x: (x - 0.3) ** 2 + abs(x - 0.3) ** 1.5, -2.0, 5.0),
-             (lambda x: math.cos(3 * x) + 0.1 * x, 0.0, 10.0),
-             (lambda x: x, 1.0, 2.0), (lambda x: -x, 1.0, 2.0),
-             (lambda x: math.inf if x < 0.5 else (x - 0.7) ** 4, 0.0, 1.0)]
-    for seed, per_group in ((1, 2), (3, 5)):
-        y, X, groups, _ = simulate(seed, n_groups=300, per_group=per_group)
-        cases.append((lambda psi, y=y, X=X, groups=groups: profile_deviance(y, X, groups, psi),
-                      0.0, 10.0))
-    for f, lo, hi in cases:
-        for xatol in (1e-8, 1e-5, 1e-3):
-            with np.errstate(invalid="ignore"):  # inf - inf in a parabola step
-                expected = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                           options={"xatol": xatol}).x
-            assert lmm._fminbound(f, lo, hi, xatol=xatol) == float(expected)
 
 
 def test_too_few_observations_is_an_error():
