@@ -36,25 +36,17 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _write_manifest(anchor: Path, command: str, options: dict,
-                    inputs: list[Path], outputs: list[Path]) -> None:
+def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[Path]) -> None:
+    options = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "config_hash": _sha256_bytes(
-            json.dumps(options, sort_keys=True, default=str).encode()),
-        "inputs": {str(p): _sha256_bytes(p.read_bytes()) for p in inputs},
-        "outputs": {str(p): _sha256_bytes(p.read_bytes()) for p in outputs},
+        "config_hash": hashlib.sha256(
+            json.dumps(options, sort_keys=True, default=str).encode()).hexdigest(),
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
+        "outputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs},
     }
-    _write_text(f"{anchor}.manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _options(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+    _write_text(f"{args.out}.manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _read(read, path: str, *args, **kwargs):
@@ -72,11 +64,27 @@ def _write_output(args: argparse.Namespace, text: str, inputs: list[Path], *outp
         sys.stdout.write(text)
     else:
         _write_text(args.out, text)
-        _write_manifest(Path(args.out), args.command, _options(args), inputs,
-                        [Path(args.out), *outputs])
+        _write_manifest(args, inputs, [Path(args.out), *outputs])
 
 
 # ---------------------------------------------------------------- gen
+
+def _known_keys(obj: dict, keys, where: str = "") -> None:
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"{where}unknown key {unknown[0]!r}")
+
+
+def _citation_model(v: dict) -> syngen.CitationModel:
+    from . import syngen
+
+    means = {}
+    for i, m in enumerate(v["means"]):
+        means[m["field"], int(m["year"]), m["doctype"]] = float(m["mean"])
+        _known_keys(m, ("field", "year", "doctype", "mean"), f"means[{i}]: ")
+    _known_keys(v, ("means", "dispersion"))
+    return syngen.CitationModel(means=means, dispersion=float(v.get("dispersion", 1.5)))
+
 
 def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
     from . import syngen
@@ -95,10 +103,7 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
         "years": lambda v: tuple(int(y) for y in v),
         "countries_per_paper": lambda v: {int(k): float(p) for k, p in v.items()},
         "attachment_strength": float,
-        "citation_model": lambda v: syngen.CitationModel(
-            means={(m["field"], int(m["year"]), m["doctype"]): float(m["mean"])
-                   for m in v["means"]},
-            dispersion=float(v.get("dispersion", 1.5))),
+        "citation_model": _citation_model,
     }
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -107,6 +112,7 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
             raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
         if "seed" in raw:
             raise ValueError("seed: not a config key; pass --seed")
+        _known_keys(raw, converters)
         fields = {}
         for key, convert in converters.items():
             try:
@@ -154,8 +160,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     inputs = [] if args.input == "-" else [Path(args.input)]
     if args.map is not None:
         inputs.append(Path(args.map))
-    _write_manifest(Path(args.out), "ingest", _options(args), inputs,
-                    [Path(args.out), Path(rej_path)])
+    _write_manifest(args, inputs, [Path(args.out), Path(rej_path)])
     print(f"accepted {len(result)} records, rejected {len(result.rejections)}",
           file=sys.stderr)
     return 0
@@ -220,34 +225,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- regress
 
-def _fits_from_corpus(corp: corpus.Corpus, scores: dict[str, float],
-                      specialty: str | None, whole: list | None) -> dict[str, lmm.LmmFit]:
-    """One fit per specialty plus "All Fields" on `whole`, the observations
-    of the whole corpus; or one fit for the given specialty."""
-    from . import impact, lmm
-
-    def observations(label: str) -> list:
-        return impact.build_observations([r for r in corp if r.specialty == label], scores)
-
-    fits: dict[str, lmm.LmmFit] = {}
-    if specialty is not None:
-        if specialty not in corp.specialty_labels:
-            valid = ", ".join(sorted(corp.specialty_labels))
-            raise CliError(f"unknown specialty {specialty!r}; valid labels: {valid}")
-        slices = [(specialty, observations(specialty))]
-    else:
-        present = sorted({r.specialty for r in corp})
-        slices = [(s, observations(s)) for s in present] + [("All Fields", whole)]
-    for label, obs in slices:
-        try:
-            fits[label] = lmm.fit(obs)
-        except ValueError as exc:
-            print(f"skipping {label}: {exc}", file=sys.stderr)
-    if not fits:
-        raise CliError("no slice had enough observations to fit")
-    return fits
-
-
 def cmd_regress(args: argparse.Namespace) -> int:
     from . import impact, lmm
 
@@ -262,9 +239,27 @@ def cmd_regress(args: argparse.Namespace) -> int:
         scores, excluded = impact.attach_fwci(corp, impact.compute_baselines(corp))
         for rid, reason in excluded:
             print(f"excluded {rid}: {reason}", file=sys.stderr)
-        whole = (impact.build_observations(list(corp), scores)
+        if args.specialty is not None and args.specialty not in corp.specialty_labels:
+            valid = ", ".join(sorted(corp.specialty_labels))
+            raise CliError(f"unknown specialty {args.specialty!r}; valid labels: {valid}")
+        by_specialty: dict[str, list] = {}  # each list in id order, as the corpus is
+        for rec in corp:
+            by_specialty.setdefault(rec.specialty, []).append(rec)
+        labels = sorted(by_specialty) if args.specialty is None else [args.specialty]
+        slices = [(s, impact.build_observations(by_specialty.get(s, []), scores))
+                  for s in labels]
+        whole = (impact.build_observations(corp, scores)
                  if args.specialty is None or args.observations_out else None)
-        fits = _fits_from_corpus(corp, scores, args.specialty, whole)
+        if args.specialty is None:
+            slices.append(("All Fields", whole))
+        fits = {}
+        for label, obs in slices:
+            try:
+                fits[label] = lmm.fit(obs)
+            except ValueError as exc:
+                print(f"skipping {label}: {exc}", file=sys.stderr)
+        if not fits:
+            raise CliError("no slice could be fitted")
         if args.observations_out:
             impact.write_observations(whole, args.observations_out)
             outputs.append(Path(args.observations_out))

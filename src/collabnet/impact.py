@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import PublicationRecord, _csv_text, _iter_lines, _write_text
+from .corpus import YEAR_MAX, YEAR_MIN, PublicationRecord, _csv_text, _iter_lines, _write_text
 
 LOG_OFFSET = 0.1
 
@@ -127,9 +127,11 @@ def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservati
     """Read an observation CSV as `write_observations` writes it.
 
     A missing column, a short row, a cell that is not an integer or a finite
-    number, a negative `mean_fwci`, a `log_fwci` more than 1e-12 relative from
-    ln(mean_fwci + 0.1), or a `country_count` other than the number of
-    countries in `combo_id` is a ValueError naming the line.
+    number, a `year` outside YEAR_MIN-YEAR_MAX, a `publication_count` outside
+    1-2**53, a `country_count` below 2, a negative `mean_fwci`, a `log_fwci`
+    more than 1e-12 relative from ln(mean_fwci + 0.1), or a `country_count`
+    other than the number of countries in `combo_id` is a ValueError naming
+    the line.
     """
     reader = csv.DictReader(_iter_lines(source))
     missing = [c for c in OBSERVATION_COLUMNS if c not in (reader.fieldnames or ())]
@@ -151,6 +153,13 @@ def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservati
             )
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        if not YEAR_MIN <= ob.year <= YEAR_MAX:
+            raise ValueError(f"{where}: year {ob.year} is outside {YEAR_MIN}-{YEAR_MAX}")
+        if not 1 <= ob.publication_count <= 2 ** 53:  # a float holds each such count exactly
+            raise ValueError(f"{where}: publication_count {ob.publication_count} is outside "
+                             f"1-{2 ** 53}")
+        if ob.country_count < 2:
+            raise ValueError(f"{where}: country_count {ob.country_count} is below 2")
         if not (math.isfinite(ob.mean_fwci) and math.isfinite(ob.log_fwci)):
             raise ValueError(f"{where}: mean_fwci {ob.mean_fwci!r} and log_fwci "
                              f"{ob.log_fwci!r} must be finite")

@@ -78,13 +78,6 @@ def _group_codes(groups: Sequence) -> tuple[np.ndarray, list]:
     return codes, labels
 
 
-def _canonical_order(y: np.ndarray, X: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    # Sort rows by (group, covariates, response) so any permutation of the
-    # input yields bit-identical accumulations.
-    keys = [y] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)] + [codes]
-    return np.lexsort(keys)
-
-
 def _centered(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Z, M) with Z = X M: every other column centered through the first
     constant column, if there is one, then every column scaled to unit root
@@ -147,6 +140,8 @@ class _Profile:
         """dD/dpsi = n q'/q + sum_m N_m m / (1 + psi m), where q' takes
         dc_m/dpsi = 1 / (1 + psi m)^2 through q at the GLS beta."""
         beta, _, q = self._gls(psi)
+        if q <= 0:
+            raise ValueError(f"no residual variance left at psi = {psi!r}")
         dc = 1.0 / (1.0 + psi * self.m) ** 2
         dq = (-float(dc @ self.w) + 2.0 * float(beta @ (dc @ self.h))
               - float(beta @ np.tensordot(dc, self.G, 1) @ beta))
@@ -159,7 +154,9 @@ def _profile(y, X, groups) -> tuple[_Profile, np.ndarray, list]:
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     codes, labels = _group_codes(groups)
-    order = _canonical_order(y, X, codes)
+    # rows by (group, covariates, response): any permutation of the input
+    # yields bit-identical accumulations
+    order = np.lexsort([y] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)] + [codes])
     Z, M = _centered(X[order])
     return _Profile(y[order], Z, codes[order], len(labels)), M, labels
 
@@ -206,6 +203,10 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> Lm
     when the bracket starts at 0 with a slope >= 0 there, or when it fits
     at least as well as the minimum found, so data without group structure
     yield the ordinary least-squares solution exactly.
+
+    A response with no residual variance is a ValueError: its least-squares
+    residual sum of squares is at most n eps sum(y^2), or its deviance still
+    falls at the grid's last psi, as sigma^2 -> 0.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -219,6 +220,8 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> Lm
     names = tuple(names) if names is not None else tuple(f"x{j}" for j in range(p))
     _check_rank(X, names)
     prof, M, labels = _profile(y, X, groups)
+    if prof._gls(0.0)[2] <= n * np.finfo(float).eps * prof.yty:
+        raise ValueError("no residual variance: the fixed effects fit the response exactly")
 
     if np.all(prof.sizes <= 1):
         warnings.warn("all groups have size 1: the group and residual variances "
@@ -227,8 +230,11 @@ def fit_random_intercept(y, X, groups, names: Sequence[str] | None = None) -> Lm
     else:
         grid = np.concatenate(([0.0], np.logspace(-10, 6, 129)))
         i = int(np.argmin([prof.deviance(g) for g in grid]))
+        if i + 1 == len(grid):
+            raise ValueError(f"no residual variance within groups: the deviance still "
+                             f"falls at psi = {grid[i]:g}")
         lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[i + 1] if i + 1 < len(grid) else grid[i] * 10.0)
+        hi = float(grid[i + 1])
         if lo == 0.0 and prof.slope(0.0) >= 0:
             hi = 0.0
         while hi - lo > 1e-12 * hi:
@@ -267,85 +273,10 @@ def fit(observations: Sequence) -> LmmFit:
 
 
 def p_value(estimate: float, se: float) -> float:
-    """Two-sided normal-approximation p-value.
-
-    ndtr(-z) is what scipy.stats.norm.sf(z) evaluates, bit for bit;
-    math.erfc(z / sqrt(2)) differs in the last bits.
-    """
+    """Two-sided normal-approximation p-value, 2 Phi(-|estimate| / se)."""
     if se <= 0:
         return math.nan
-    return 2.0 * _ndtr(-(abs(estimate) / se))
-
-
-# Rational approximations of Cephes ndtr.c: erfc on [1, 8) as P/Q, on
-# [8, inf) as R/S, and erf on [0, 1] as x T(x^2)/U(x^2); Q, S and U have a
-# leading coefficient of 1 left out.
-_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-      1.65666309194161350182e3, 5.57535340817727675546e2)
-_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-      7.00332514112805075473e3, 5.55923013010394962768e4)
-_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-      2.26290000613890934246e4, 4.92673942608635921086e4)
-_MAXLOG = 7.09782712893383996843e2
-_SQRT1_2 = 0.70710678118654752440
-
-
-def _polevl(x: float, coef: tuple, monic: bool = False) -> float:
-    """Horner's rule, as Cephes polevl (or p1evl, for a monic polynomial)."""
-    ans = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: float) -> float:
-    if x < 0.0:
-        return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
-    z = x * x
-    return x * _polevl(z, _T) / _polevl(z, _U, monic=True)
-
-
-def _erfc(a: float) -> float:
-    x = abs(a)
-    if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    y = 0.0
-    if z >= -_MAXLOG:
-        if x < 8.0:
-            p, q = _polevl(x, _P), _polevl(x, _Q, monic=True)
-        else:
-            p, q = _polevl(x, _R), _polevl(x, _S, monic=True)
-        y = (math.exp(z) * p) / q
-        if a < 0:
-            y = 2.0 - y
-    if y == 0.0:  # underflow
-        return 2.0 if a < 0 else 0.0
-    return y
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal CDF: an operation-for-operation port of Cephes ndtr.c
-    (Moshier) with its own erf and erfc, as SciPy ships it, so it returns
-    the bits of `scipy.special.ndtr`."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
+    return math.erfc(abs(estimate) / se / math.sqrt(2.0))
 
 
 def stars(p: float) -> str:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import collabnet
 from collabnet.cli import main
@@ -235,12 +240,91 @@ GOOD_ROW = "DE-US,2013,2,1,1.5,0.47000362924573563\n"  # log_fwci = ln(1.5 + 0.1
      "line 3: mean_fwci -0.05 is negative"),
     (OBSERVATIONS + GOOD_ROW + "DE-FR,2013,2,3,1.5,0.47\n",
      "line 3: log_fwci 0.47 is not ln(mean_fwci + 0.1) = 0.47000362924573563"),
-], ids=["nan", "inf", "missing-column", "country-count", "short-row", "negative", "log"])
+    (OBSERVATIONS + GOOD_ROW.replace("2013", "1" + "0" * 30),
+     "line 2: year 1" + "0" * 30 + " is outside 1900-2100"),
+    (OBSERVATIONS + GOOD_ROW + "DE-FR,2013,2,0,1.5,0.47000362924573563\n",
+     "line 3: publication_count 0 is outside 1-9007199254740992"),
+    (OBSERVATIONS + "DE-FR,2013,2,9007199254740993,1.5,0.47000362924573563\n",
+     "line 2: publication_count 9007199254740993 is outside 1-9007199254740992"),
+    (OBSERVATIONS + GOOD_ROW + "US,2013,1,3,1.5,0.47000362924573563\n",
+     "line 3: country_count 1 is below 2"),
+], ids=["nan", "inf", "missing-column", "country-count", "short-row", "negative", "log",
+        "year", "no-publications", "huge-publications", "one-country"])
 def test_regress_rejects_a_bad_observation_csv_by_line(workdir, capsys, text, message):
     (workdir / "obs.csv").write_text(text)
     assert run("regress", "--input", "obs.csv", "--out", "report.txt") == 1
     assert f"error: obs.csv: {message}" in capsys.readouterr().err
     assert not (workdir / "report.txt").exists()
+
+
+def observation_rows() -> list[list[str]]:
+    """A header and 16 rows that fit: eight combinations, each in two years."""
+    rows = [OBSERVATIONS.strip().split(",")]
+    for i, combo in enumerate(["DE-US", "FR-GB", "DE-FR-US", "CN-JP", "BR-US", "GB-IN-US",
+                               "AU-NZ", "CA-FR-GB-US"]):
+        for year in (2008, 2013):
+            mean = 0.25 + (3 * i + (year - 2008) * (i + 1)) % 7 / 3
+            rows.append([combo, str(year), str(combo.count("-") + 1), str(1 + (i + year) % 4),
+                         repr(mean), repr(math.log(mean + 0.1))])
+    return rows
+
+
+@st.composite
+def mutated_observation_csv(draw):
+    rows = observation_rows()
+    kind = draw(st.sampled_from(["none", "truncation", "dropped column", "type swap", "BOM",
+                                 "CRLF", "non-UTF-8 byte", "nan/inf", "huge integer",
+                                 "constant log_fwci"]))
+    i = draw(st.integers(1, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    if kind == "dropped column":
+        rows = [row[:j] + row[j + 1:] for row in rows]
+    elif kind == "type swap":
+        rows[i][j] = draw(st.sampled_from(["abc", "1.5", "", "2e3", "-", "true", "DE-US"]))
+    elif kind == "nan/inf":
+        rows[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    elif kind == "huge integer":
+        rows[i][j] = draw(st.sampled_from(["", "-"])) + "1" + "0" * draw(st.integers(15, 5000))
+    elif kind == "constant log_fwci":
+        for row in rows[1:]:
+            row[4:] = ["1.0", repr(math.log(1.1))]
+    data = "".join(",".join(row) + "\n" for row in rows).encode()
+    if kind == "truncation":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif kind == "BOM":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "CRLF":
+        data = data.replace(b"\n", b"\r\n")
+    elif kind == "non-UTF-8 byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return kind, data
+
+
+# what `lmm.fit_random_intercept` rejects, with no file line to name
+MODEL_ERRORS = ("too few observations", "rank-deficient design", "no residual variance")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_observation_csv())
+def test_regress_on_a_mutated_observation_csv_exits_cleanly(tmp_path_factory, case):
+    kind, data = case
+    where = tmp_path_factory.mktemp("fuzz")
+    path, out, csv_out = (str(where / name) for name in ("obs.csv", "report.txt", "report.csv"))
+    Path(path).write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["regress", "--input", path, "--out", out, "--csv-out", csv_out])
+    assert code in (0, 1), (kind, err.getvalue())
+    if code == 1:
+        message = err.getvalue().removeprefix("collabnet regress: error: ")
+        assert (re.match(rf"{re.escape(path)}: line \d+: ", message)
+                or message.startswith(MODEL_ERRORS)), (kind, message)
+    else:
+        assert kind in ("none", "CRLF", "type swap", "nan/inf", "huge integer", "truncation")
+        for text in (Path(out).read_text(), Path(csv_out).read_text()):
+            assert not re.search(r"nan|inf", text, re.IGNORECASE), (kind, text)
+    assert (kind, code) not in [("none", 1), ("CRLF", 1), ("constant log_fwci", 0)]
 
 
 def test_trends_names_the_line_and_column_of_a_bad_cell(workdir, capsys):
@@ -335,8 +419,17 @@ GEN_CONFIG = {
      "attachment_strength must be finite and >= 0"),
     (json.dumps({**GEN_CONFIG, "countries_per_paper": {"1": math.nan, "2": 1.0}}),
      "countries_per_paper probabilities must be >= 0"),
+    (json.dumps({**GEN_CONFIG, "n_paper": 10}), "unknown key 'n_paper'"),
+    (json.dumps({**GEN_CONFIG, "citation_model": {**GEN_CONFIG["citation_model"],
+                                                  "dispersoin": 9.0}}),
+     "citation_model: unknown key 'dispersoin'"),
+    (json.dumps({**GEN_CONFIG, "citation_model": {"means": [
+        *GEN_CONFIG["citation_model"]["means"],
+        {"field": "Virology", "year": 2013, "doctype": "article", "mean": 2.0, "sd": 1.0}]}}),
+     "citation_model: means[1]: unknown key 'sd'"),
 ], ids=["bad-json", "not-an-object", "model-type", "years-type", "count-type",
-        "sizes-type", "count-inf", "invalid", "seed-key", "strength-nan", "probability-nan"])
+        "sizes-type", "count-inf", "invalid", "seed-key", "strength-nan", "probability-nan",
+        "unknown-key", "unknown-model-key", "unknown-mean-key"])
 def test_gen_config_fault_exits_one_naming_the_file(workdir, capsys, text, message):
     (workdir / "cfg.json").write_text(text)
     assert run("gen", "--seed", "1", "--config", "cfg.json", "--out", "raw.jsonl") == 1
@@ -485,6 +578,61 @@ def test_regress_on_corpus_writes_report_and_observations(workdir):
     assert obs_header == "combo_id,year,country_count,publication_count,mean_fwci,log_fwci"
     assert run("regress", "--input", "obs.csv", "--out", "single.txt") == 0
     assert "Publication Count" in (workdir / "single.txt").read_text()
+
+
+def test_regress_fits_each_specialty_on_its_own_records(workdir):
+    from collabnet import impact, lmm
+    from collabnet.corpus import Corpus
+
+    gen_corpus(workdir, seed=11, n_papers=4000)
+    corp = Corpus.load("corpus.jsonl")
+    scores, _ = impact.attach_fwci(corp, impact.compute_baselines(corp))
+    fits = {}
+    for label in sorted({r.specialty for r in corp}):
+        try:
+            fits[label] = lmm.fit(impact.build_observations(
+                [r for r in corp if r.specialty == label], scores))
+        except ValueError:  # the CLI skips it too
+            pass
+    fits["All Fields"] = lmm.fit(impact.build_observations(corp, scores))
+    assert len(fits) > 4
+    assert run("regress", "--input", "corpus.jsonl", "--out", "all.txt",
+               "--csv-out", "all.csv") == 0
+    assert (workdir / "all.csv").read_text() == lmm.report_csv(fits)
+    for label in list(fits)[:2]:
+        assert run("regress", "--input", "corpus.jsonl", "--specialty", label,
+                   "--out", "one.txt", "--csv-out", "one.csv") == 0
+        assert (workdir / "one.csv").read_text() == lmm.report_csv({label: fits[label]})
+
+
+def test_regress_skips_slices_with_no_residual_variance(workdir, capsys):
+    gen_corpus(workdir)
+    with open("corpus.jsonl") as src, open("flat.jsonl", "w") as dst:
+        for line in src:  # every paper 5 citations: every FWCI is 1
+            dst.write(json.dumps({**json.loads(line), "citations": 5}) + "\n")
+    capsys.readouterr()
+    assert run("regress", "--input", "flat.jsonl", "--out", "report.txt") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == "collabnet regress: error: no slice could be fitted"
+    assert "skipping All Fields: no residual variance: the fixed effects fit the response " \
+           "exactly" in lines
+    assert not (workdir / "report.txt").exists()
+    with open("flat.csv", "w") as fh:
+        fh.write(OBSERVATIONS + "".join(
+            f"{c},{y},{c.count('-') + 1},{k},1.0,{math.log(1.1)!r}\n"
+            for c, y, k in [("DE-US", 2008, 1), ("DE-FR-US", 2013, 3), ("FR-GB", 2008, 2),
+                            ("FR-GB", 2010, 1), ("CN-JP-KR", 2013, 4), ("AU-NZ", 2009, 2)]))
+    assert run("regress", "--input", "flat.csv", "--out", "report.txt") == 1
+    assert capsys.readouterr().err == ("collabnet regress: error: no residual variance: "
+                                       "the fixed effects fit the response exactly\n")
+
+
+@pytest.mark.parametrize("seed", [1, 1612])
+def test_regress_fits_every_slice_of_the_benchmark_corpora(workdir, capsys, seed):
+    gen_corpus(workdir, seed=seed, n_papers=10000)
+    capsys.readouterr()
+    assert run("regress", "--input", "corpus.jsonl", "--out", "report.txt") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_export_round_trip_formats(workdir):

@@ -259,6 +259,25 @@ def test_too_few_observations_is_an_error():
         fit([])  # the design matrix keeps its four columns with no rows
 
 
+def test_response_without_residual_variance_is_an_error():
+    _, X, labels, beta = simulate(3, n_groups=200)
+    with pytest.raises(ValueError, match="^no residual variance: the fixed effects fit"):
+        fit_random_intercept(X @ beta, X, labels)
+    with pytest.raises(ValueError, match="^no residual variance: the fixed effects fit"):
+        fit_random_intercept(np.full(len(labels), math.log(1.1)), X, labels)
+    # constant within each group: the deviance falls without bound as sigma^2 -> 0
+    level = {g: float(i % 7) for i, g in enumerate(sorted(set(labels)))}
+    with pytest.raises(ValueError, match="^no residual variance within groups"):
+        fit_random_intercept([level[g] for g in labels], X, labels)
+
+
+def test_slope_rejects_a_vanished_residual():
+    _, X, labels, _ = simulate(3, n_groups=200)
+    prof = lmm._profile(np.zeros(len(labels)), X, labels)[0]
+    with pytest.raises(ValueError, match="no residual variance left at psi = 1.0"):
+        prof.slope(1.0)
+
+
 def test_raw_year_coding_produces_large_intercept_pattern():
     # E[y | 2008] ~ 0.74 with slope -0.12 forces the intercept near 241.7
     rng = np.random.Generator(np.random.Philox(13))
@@ -343,15 +362,16 @@ def test_no_stars_for_weak_effects():
     assert stars(p_value(1.28, 1.0)) == ""
 
 
-def test_p_value_is_bit_identical_to_norm_sf():
-    # z on both sides of 1 (ndtr switches between erf and erfc there), 0,
-    # deep in the tail, and infinite
-    z = np.concatenate([np.linspace(0.0, 3.0, 601), np.geomspace(1e-12, 60.0, 400),
-                        [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
-                         40.0, 1e6, math.inf]])
-    for se in (1.0, 0.3, 2.5e-3):
-        for e in np.concatenate([z * se, -z * se]).tolist():
-            assert p_value(e, se) == 2.0 * float(norm.sf(abs(e) / se))
+def test_p_value_matches_mpmath_normal_tail():
+    mpmath = pytest.importorskip("mpmath")
+    # z on both sides of 1, from 1e-12 deep into the tail
+    z = np.concatenate([np.geomspace(1e-12, 37.0, 400), np.linspace(0.5, 3.0, 251),
+                        [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]])
+    with mpmath.workdps(50):
+        for se in (1.0, 0.3, 2.5e-3):
+            for e in np.concatenate([z * se, -z * se]).tolist():
+                exact = mpmath.erfc(mpmath.mpf(abs(e) / se) / mpmath.sqrt(2))
+                assert p_value(e, se) == pytest.approx(float(exact), rel=1e-12, abs=0)
     assert p_value(0.0, 1.0) == 1.0
     assert p_value(math.inf, 1.0) == 0.0
     assert math.isnan(p_value(1.0, 0.0))
