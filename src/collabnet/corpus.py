@@ -217,9 +217,14 @@ class Corpus:
     records: Mapping[str, PublicationRecord] = field(default_factory=dict)
     rejections: list[tuple[str, str]] = field(default_factory=list)
     specialty_labels: frozenset[str] = frozenset(DEFAULT_SPECIALTIES) | {OTHER_SPECIALTY}
+    # the records of each (specialty, year) slice, in id order, grouped once
+    _slices: dict[tuple[str, int], list[PublicationRecord]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):  # sort the keys: sorting items allocates a tuple per record
         self.records = MappingProxyType({rid: self.records[rid] for rid in sorted(self.records)})
+        for rec in self.records.values():
+            self._slices.setdefault((rec.specialty, rec.year), []).append(rec)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -352,7 +357,7 @@ def filter_records(corpus: Corpus, specialty: str, year: int) -> list[Publicatio
     if specialty not in corpus.specialty_labels:
         valid = ", ".join(sorted(corpus.specialty_labels))
         raise ValueError(f"unknown specialty {specialty!r}; valid labels: {valid}")
-    return [r for r in corpus.records.values() if r.specialty == specialty and r.year == year]
+    return list(corpus._slices.get((specialty, year), ()))
 
 
 def write_rejections(rejections: Iterable[tuple[str, str]], path: str | Path) -> None:

@@ -172,25 +172,25 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 
     Each step takes the column with the largest residual norm, the first on
     a tie, and projects it out of the others (Gram-Schmidt, done twice);
-    those norms are the |R_kk| of the pivoted QR.
+    those norms are the |R_kk| of the pivoted QR. A column counts when its
+    |R_kk| exceeds max(n, p) * eps times its own norm, not the largest one's.
     """
+    tol = max(X.shape) * np.finfo(float).eps * np.linalg.norm(X, axis=0)
     R = np.array(X, dtype=float)
-    remaining = list(range(R.shape[1]))
-    pivots, diag = [], []
+    remaining, kept = list(range(R.shape[1])), []
     while remaining:
         norms = np.linalg.norm(R[:, remaining], axis=0)
         k = int(np.argmax(norms))
-        pivots.append(remaining.pop(k))
-        diag.append(float(norms[k]))
-        if diag[-1] == 0.0:
+        if norms[k] == 0.0:
             break
-        q = R[:, pivots[-1]] / diag[-1]
+        j = remaining.pop(k)
+        if norms[k] > tol[j]:
+            kept.append(j)
+        q = R[:, j] / norms[k]
         for _ in range(2):
             R[:, remaining] -= np.outer(q, q @ R[:, remaining])
-    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag else 0.0)
-    rank = sum(d > tol for d in diag)
-    if rank < X.shape[1]:
-        bad = sorted(names[j] for j in range(X.shape[1]) if j not in pivots[:rank])
+    if len(kept) < X.shape[1]:
+        bad = sorted(names[j] for j in range(X.shape[1]) if j not in kept)
         raise ValueError(f"rank-deficient design: collinear columns {', '.join(bad)}")
 
 

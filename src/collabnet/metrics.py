@@ -11,7 +11,7 @@ Functions accept either a CollabNetwork or a plain adjacency mapping
 `{node: set-of-neighbors}`. Every statistic comes from one dense 0/1
 adjacency matrix over the sorted node labels (a snapshot has at most one row
 per country, so dense is cheap) and from one level-synchronous BFS run from
-all sources at once: shortest-path counts plus one distance mask per level
+all sources at once: shortest-path counts plus one value front per level
 give components, diameter and Brandes betweenness as matrix products.
 Degrees are row sums and triangles the diagonal of A^3 halved.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,37 +66,41 @@ class PowerlawFit(NamedTuple):
     loglik: float
 
 
-def _matrix(net) -> tuple[list, np.ndarray]:
-    """Sorted node labels and the dense 0/1 adjacency matrix in that order."""
+def _matrix(net) -> tuple[Sequence, np.ndarray]:
+    """Sorted node labels and the dense 0/1 adjacency matrix in that order. A
+    mapping with a self-loop or a neighbour that is not a key is a ValueError."""
     if isinstance(net, CollabNetwork):
-        labels, pairs = sorted(net.nodes), list(net.edges)
+        labels, rows, cols = net.nodes, net.src, net.dst
     else:
         labels = sorted(net)
+        index = {v: i for i, v in enumerate(labels)}
         pairs = [(v, w) for v, nbrs in net.items() for w in nbrs]
-    index = {v: i for i, v in enumerate(labels)}
-    rows = [index[a] for a, _ in pairs]
-    cols = [index[b] for _, b in pairs]
+        for v, w in pairs:
+            if v == w or w not in index:
+                raise ValueError(f"node {v!r} has a self-loop" if v == w
+                                 else f"node {v!r} has neighbour {w!r}, which is not a node")
+        rows, cols = [index[v] for v, _ in pairs], [index[w] for _, w in pairs]
     A = np.zeros((len(labels), len(labels)))
     A[rows, cols] = A[cols, rows] = 1.0
     return labels, A
 
 
-def _levels(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Level-synchronous BFS from every source at once.
+def _levels(A: np.ndarray, AA: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Level-synchronous BFS from every source at once; `AA` is A @ A.
 
     Returns sigma, where sigma[s, v] counts the shortest s-v paths (1 on the
-    diagonal, 0 when v is unreachable from s), and one boolean mask per
-    distance: levels[d][s, v] is True when v lies d steps from s.
+    diagonal, 0 when v is unreachable from s), and one value front per
+    distance: fronts[d][s, v] is sigma[s, v] when v lies d steps from s, and
+    0 otherwise. Each front times A counts the paths one step further.
     """
     sigma = np.eye(len(A))
-    levels = [np.eye(len(A), dtype=bool)]
-    while True:
-        reach = (sigma * levels[-1]) @ A
-        new = (reach > 0) & (sigma == 0)
-        if not new.any():
-            return sigma, levels
-        sigma[new] = reach[new]
-        levels.append(new)
+    fronts = [sigma.copy()]
+    reach = A
+    while (reach := reach * (sigma == 0)).any():  # keep the pairs not reached before
+        sigma += reach
+        fronts.append(reach)
+        reach = AA if len(fronts) == 2 else reach @ A
+    return sigma, fronts
 
 
 def _degree_stats(labels: list, A: np.ndarray) -> tuple[dict, float, float]:
@@ -115,37 +119,37 @@ def _components(sigma: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(reach[r]) for _, r in sorted(zip(-sizes, roots))]
 
 
-def _diameter(sigma: np.ndarray, levels: list[np.ndarray]) -> DiameterInfo:
-    if len(levels) == 1:
+def _diameter(sigma: np.ndarray, fronts: list[np.ndarray]) -> DiameterInfo:
+    if len(fronts) == 1:
         raise ValueError("no paths: network has no edges")
     comps = _components(sigma)
-    eccentricity = sum(level.any(axis=1) for level in levels[1:])
+    eccentricity = sum(front.any(axis=1) for front in fronts[1:])
     return DiameterInfo(steps=int(eccentricity[comps[0]].max()),
                         component_size=len(comps[0]), n_components=len(comps))
 
 
-def _betweenness(A: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+def _betweenness(A: np.ndarray, sigma: np.ndarray, fronts: list[np.ndarray]) -> np.ndarray:
     """Brandes (2001) dependency accumulation, level by level for all sources."""
     delta = np.zeros_like(sigma)
-    for d in range(len(levels) - 2, 0, -1):
-        share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d + 1])
-        delta += np.where(levels[d], sigma * (share @ A), 0.0)
+    for d in range(len(fronts) - 2, 0, -1):
+        share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=fronts[d + 1] > 0)
+        delta += fronts[d] * (share @ A)
     return delta.sum(axis=0) / 2.0
 
 
-def _centralization(A: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray]) -> float:
+def _centralization(A: np.ndarray, sigma: np.ndarray, fronts: list[np.ndarray]) -> float:
     n = len(A)
     if n < 3:
         raise ValueError("centralization undefined: need at least 3 nodes")
-    bc = _betweenness(A, sigma, levels)
+    bc = _betweenness(A, sigma, fronts)
     return float((bc.max() - bc).sum()) / ((n - 1) ** 2 * (n - 2) / 2.0)
 
 
-def _clustering(A: np.ndarray) -> tuple[float, float]:
+def _clustering(A: np.ndarray, AA: np.ndarray) -> tuple[float, float]:
     n = len(A)
     if n < 3:
         raise ValueError("clustering undefined: need at least 3 nodes")
-    tri = ((A @ A) * A).sum(axis=1).astype(np.int64) // 2  # triangles at each node
+    tri = (AA * A).sum(axis=1).astype(np.int64) // 2  # triangles at each node
     degrees = A.sum(axis=1).astype(np.int64)
     wedges = degrees * (degrees - 1) // 2
     triples = int(wedges.sum())
@@ -162,13 +166,14 @@ def degree_stats(net) -> tuple[dict[str, int], float, float]:
 def connected_components(net) -> list[set[str]]:
     """Components sorted by decreasing size, ties by smallest member."""
     labels, A = _matrix(net)
-    sigma, _ = _levels(A)
+    sigma, _ = _levels(A, A @ A)
     return [{labels[i] for i in comp} for comp in _components(sigma)]
 
 
 def diameter(net) -> DiameterInfo:
     """Longest shortest path (in steps) over the largest connected component."""
-    return _diameter(*_levels(_matrix(net)[1]))
+    A = _matrix(net)[1]
+    return _diameter(*_levels(A, A @ A))
 
 
 def betweenness_centrality(net) -> dict[str, float]:
@@ -177,14 +182,14 @@ def betweenness_centrality(net) -> dict[str, float]:
     Shortest-path ties are split evenly.
     """
     labels, A = _matrix(net)
-    return dict(zip(labels, _betweenness(A, *_levels(A)).tolist()))
+    return dict(zip(labels, _betweenness(A, *_levels(A, A @ A)).tolist()))
 
 
 def betweenness_centralization(net) -> float:
     """Freeman centralization of betweenness: 1.0 for a star, 0.0 when all
     nodes broker equally (any vertex-transitive graph)."""
     _, A = _matrix(net)
-    return _centralization(A, *_levels(A))
+    return _centralization(A, *_levels(A, A @ A))
 
 
 def clustering(net) -> tuple[float, float]:
@@ -193,7 +198,8 @@ def clustering(net) -> tuple[float, float]:
     Transitivity is 3*triangles / connected triples. The local average
     includes every node, with degree < 2 contributing zero.
     """
-    return _clustering(_matrix(net)[1])
+    A = _matrix(net)[1]
+    return _clustering(A, A @ A)
 
 
 def powerlaw_fit(degrees: Iterable[int]) -> PowerlawFit:
@@ -279,10 +285,11 @@ def compute_stats(net: CollabNetwork, fit_powerlaw: bool = False) -> NetworkStat
     """Run the full battery on one network snapshot."""
     labels, A = _matrix(net)
     degrees, avg_degree, density = _degree_stats(labels, A)
-    sigma, levels = _levels(A)
-    diam = _diameter(sigma, levels)
-    centralization = _centralization(A, sigma, levels)
-    transitivity, avg_local = _clustering(A)
+    AA = A @ A  # the second BFS front and the triangle count share it
+    sigma, fronts = _levels(A, AA)
+    diam = _diameter(sigma, fronts)
+    centralization = _centralization(A, sigma, fronts)
+    transitivity, avg_local = _clustering(A, AA)
     alpha: float | None = None
     if fit_powerlaw:
         try:
@@ -290,19 +297,10 @@ def compute_stats(net: CollabNetwork, fit_powerlaw: bool = False) -> NetworkStat
         except ValueError:
             alpha = None
     return NetworkStats(
-        specialty=net.specialty,
-        year=net.year,
-        n_nodes=net.n_nodes,
-        n_edges=net.n_edges,
-        diameter=diam.steps,
-        avg_degree=avg_degree,
-        density=density,
-        betweenness_centralization=centralization,
-        transitivity=transitivity,
-        avg_local_clustering=avg_local,
-        n_components=diam.n_components,
-        powerlaw_alpha=alpha,
-    )
+        specialty=net.specialty, year=net.year, n_nodes=net.n_nodes, n_edges=net.n_edges,
+        diameter=diam.steps, avg_degree=avg_degree, density=density,
+        betweenness_centralization=centralization, transitivity=transitivity,
+        avg_local_clustering=avg_local, n_components=diam.n_components, powerlaw_alpha=alpha)
 
 
 def _fmt(value, fixed_decimals: bool) -> str:

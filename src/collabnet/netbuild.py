@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import PublicationRecord, _csv_text, _iter_lines
 from .countries import sorted_codes
@@ -35,13 +35,34 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class CollabNetwork:
-    """Undirected weighted graph over country codes for one snapshot."""
+    """Undirected weighted graph over country codes for one snapshot, with
+    one column entry per edge, edges sorted by (src, dst)."""
 
     specialty: str
     year: int
     nodes: tuple[str, ...]                    # lexicographic order
-    edges: dict[tuple[str, str], Edge]        # key (a, b) with a < b
+    src: tuple[int, ...]                      # edge k joins nodes[src[k]] and
+    dst: tuple[int, ...]                      # nodes[dst[k]], src[k] < dst[k]
+    count: tuple[int, ...]                    # co-publications
+    cosine: tuple[float | None, ...]          # None when unweighted
     node_strength: dict[str, int]             # international papers per country
+
+    @classmethod
+    def from_edges(cls, specialty: str, year: int, nodes: Iterable[str],
+                   edges: Mapping[tuple[str, str], Edge],
+                   node_strength: dict[str, int]) -> "CollabNetwork":
+        """The network of keyed edges `{(a, b): Edge}`, keys in any order and
+        either orientation; every endpoint must be one of `nodes`."""
+        nodes = tuple(sorted(nodes))
+        index = {v: i for i, v in enumerate(nodes)}
+        rows = sorted((*sorted((index[a], index[b])), *e) for (a, b), e in edges.items())
+        src, dst, count, cosine = zip(*rows) if rows else ((), (), (), ())
+        return cls(specialty, year, nodes, src, dst, count, cosine, node_strength)
+
+    @property
+    def edges(self) -> dict[tuple[str, str], Edge]:
+        """`{(a, b): Edge}` with a < b, in (a, b) order; a new dict on every read."""
+        return {(a, b): Edge(n, c) for a, b, n, c in _edge_rows(self)}
 
     @property
     def n_nodes(self) -> int:
@@ -49,11 +70,13 @@ class CollabNetwork:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.src)
 
 
-def _edge_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
+def _edge_rows(net: CollabNetwork) -> Iterator[tuple[str, str, int, float | None]]:
+    """(a, b, count, cosine) of every edge, in column order."""
+    label = net.nodes.__getitem__
+    return zip(map(label, net.src), map(label, net.dst), net.count, net.cosine)
 
 
 def build_network(records: Sequence[PublicationRecord],
@@ -79,29 +102,26 @@ def build_network(records: Sequence[PublicationRecord],
     strength = Counter(chain.from_iterable(international))
     counts = Counter(chain.from_iterable(combinations(c, 2) for c in international))
     # every country of an international record has an edge, so it is not dropped
-    nodes = sorted(strength if isolate_policy == "drop"
-                   else set(chain.from_iterable(r.countries for r in records)))
-    return CollabNetwork(
-        specialty=next(iter(specialties)),
-        year=next(iter(years)),
-        nodes=tuple(nodes),
-        edges={k: Edge(counts[k]) for k in sorted(counts)},  # sorting (key, count) items is slower
-        node_strength={v: strength[v] for v in nodes},
-    )
+    nodes = tuple(sorted(strength if isolate_policy == "drop"
+                         else set(chain.from_iterable(r.countries for r in records))))
+    index = {v: i for i, v in enumerate(nodes)}
+    # countries are sorted within a record, so index[a] < index[b]
+    rows = sorted((index[a], index[b], n) for (a, b), n in counts.items())
+    src, dst, count = zip(*rows) if rows else ((), (), ())
+    return CollabNetwork(next(iter(specialties)), next(iter(years)), nodes, src, dst, count,
+                         (None,) * len(src), {v: strength[v] for v in nodes})
 
 
 def cosine_weights(net: CollabNetwork) -> CollabNetwork:
     """Populate Salton cosine weights n_ij / sqrt(n_i * n_j)."""
-    edges: dict[tuple[str, str], Edge] = {}
-    for key, e in net.edges.items():
-        a, b = key
-        na, nb = net.node_strength.get(a, 0), net.node_strength.get(b, 0)
-        if na <= 0 or nb <= 0:
-            raise RuntimeError(
-                f"internal consistency error: edge {a}-{b} with zero node strength"
-            )
-        edges[key] = Edge(e.copub_count, e.copub_count / math.sqrt(na * nb))
-    return replace(net, edges=edges)
+    strength = [net.node_strength.get(v, 0) for v in net.nodes]
+    if min(strength, default=1) <= 0:  # an error only where such a node has an edge
+        for i, j in zip(net.src, net.dst):
+            if strength[i] <= 0 or strength[j] <= 0:
+                raise RuntimeError(f"internal consistency error: edge {net.nodes[i]}-"
+                                   f"{net.nodes[j]} with zero node strength")
+    return replace(net, cosine=tuple(n / math.sqrt(strength[i] * strength[j])
+                                     for i, j, n in zip(net.src, net.dst, net.count)))
 
 
 def network_of_size(n_nodes: int, n_edges: int, specialty: str = "",
@@ -122,33 +142,16 @@ def network_of_size(n_nodes: int, n_edges: int, specialty: str = "",
     labels = sorted_codes()[:n_nodes]
     if len(labels) < n_nodes:
         raise ValueError("n_nodes exceeds the country universe")
-    pairs: list[tuple[str, str]] = []
-    hub = labels[0]
-    pairs.extend(_edge_key(hub, v) for v in labels[1:])
-    for a, b in combinations(labels[1:], 2):
-        pairs.append(_edge_key(a, b))
+    pairs = [(labels[0], v) for v in labels[1:]] + list(combinations(labels[1:], 2))
     chosen = pairs[:n_edges]
-    strength: dict[str, int] = {v: 0 for v in labels}
-    for a, b in chosen:
-        strength[a] += 1
-        strength[b] += 1
-    net = CollabNetwork(
-        specialty=specialty,
-        year=year,
-        nodes=tuple(labels),
-        edges={k: Edge(copub_count=1) for k in sorted(chosen)},
-        node_strength=strength,
-    )
-    return cosine_weights(net)
-
-
-def _fmt_cosine(value: float | None) -> str:
-    return "" if value is None else repr(value)
+    degree = Counter(chain.from_iterable(chosen))
+    return cosine_weights(CollabNetwork.from_edges(
+        specialty, year, labels, dict.fromkeys(chosen, Edge(1)), {v: degree[v] for v in labels}))
 
 
 def export_edgelist(net: CollabNetwork, header: bool = True) -> str:
     """Edge list CSV `source,target,copub_count,cosine`, LF endings."""
-    rows = [(a, b, e.copub_count, _fmt_cosine(e.cosine)) for (a, b), e in sorted(net.edges.items())]
+    rows = [(a, b, n, "" if c is None else repr(c)) for a, b, n, c in _edge_rows(net)]
     return _csv_text([EDGELIST_COLUMNS, *rows] if header else rows)
 
 
@@ -156,13 +159,10 @@ def export_dot(net: CollabNetwork) -> str:
     from xml.sax.saxutils import quoteattr  # loads urllib.request: keep off `build` CSV
 
     lines = [f"graph {quoteattr(net.specialty or 'collab')} {{"]
-    for v in net.nodes:
-        lines.append(f'  "{v}";')
-    for (a, b), e in sorted(net.edges.items()):
-        attrs = f"copub_count={e.copub_count}"
-        if e.cosine is not None:
-            attrs += f", cosine={repr(e.cosine)}"
-        lines.append(f'  "{a}" -- "{b}" [{attrs}];')
+    lines += [f'  "{v}";' for v in net.nodes]
+    for a, b, n, c in _edge_rows(net):
+        cosine = "" if c is None else f", cosine={repr(c)}"
+        lines.append(f'  "{a}" -- "{b}" [copub_count={n}{cosine}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -181,16 +181,14 @@ def export_graphml(net: CollabNetwork) -> str:
         f'    <data key="specialty">{escape(net.specialty)}</data>',
         f'    <data key="year">{net.year}</data>',
     ]
-    for v in net.nodes:
-        lines.append(f'    <node id={quoteattr(v)}/>')
-    for (a, b), e in sorted(net.edges.items()):
+    lines += [f'    <node id={quoteattr(v)}/>' for v in net.nodes]
+    for a, b, n, c in _edge_rows(net):
         lines.append(f'    <edge source={quoteattr(a)} target={quoteattr(b)}>')
-        lines.append(f'      <data key="copub_count">{e.copub_count}</data>')
-        if e.cosine is not None:
-            lines.append(f'      <data key="cosine">{repr(e.cosine)}</data>')
+        lines.append(f'      <data key="copub_count">{n}</data>')
+        if c is not None:
+            lines.append(f'      <data key="cosine">{repr(c)}</data>')
         lines.append('    </edge>')
-    lines.append('  </graph>')
-    lines.append('</graphml>')
+    lines += ['  </graph>', '</graphml>']
     return "\n".join(lines) + "\n"
 
 
@@ -227,7 +225,7 @@ def _network(specialty: str, year: int, rows: Iterable[tuple], nodes=None) -> Co
                 raise ValueError(f"{where}: endpoint {v!r} is not a declared node")
         if a == b:
             raise ValueError(f"{where}: self-loop {a}-{b}")
-        key = _edge_key(a, b)
+        key = (a, b) if a < b else (b, a)
         if key in edges:
             raise ValueError(f"{where}: duplicate pair {key[0]}-{key[1]}")
         try:
@@ -245,10 +243,9 @@ def _network(specialty: str, year: int, rows: Iterable[tuple], nodes=None) -> Co
         edges[key] = Edge(copub_count=count, cosine=cosine)
         for v in key:
             strength[v] = strength.get(v, 0) + count
-    ordered = tuple(sorted({v for key in edges for v in key} if nodes is None else nodes))
-    return CollabNetwork(specialty=specialty, year=year, nodes=ordered,
-                         edges=dict(sorted(edges.items())),
-                         node_strength={v: strength.get(v, 0) for v in ordered})
+    ordered = sorted({v for key in edges for v in key} if nodes is None else nodes)
+    return CollabNetwork.from_edges(specialty, year, ordered, edges,
+                                    {v: strength.get(v, 0) for v in ordered})
 
 
 def read_edgelist(source: str | Path | Iterable[str], specialty: str = "",

@@ -327,6 +327,19 @@ def test_regress_on_a_mutated_observation_csv_exits_cleanly(tmp_path_factory, ca
     assert (kind, code) not in [("none", 1), ("CRLF", 1), ("constant log_fwci", 0)]
 
 
+@pytest.mark.parametrize("row", [1, 5, 16])
+def test_regress_fits_a_full_rank_design_with_one_large_column(workdir, row):
+    # the rank check scales each column by its own norm, not by the largest one
+    rows = observation_rows()
+    rows[row][3] = str(10**15)
+    (workdir / "obs.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+    assert run("regress", "--input", "obs.csv", "--out", "report.txt",
+               "--csv-out", "report.csv") == 0
+    cells = [cell for line in (workdir / "report.csv").read_text().splitlines()[1:]
+             for cell in line.split(",")[2:5] if cell]
+    assert len(cells) >= 15 and all(math.isfinite(float(cell)) for cell in cells)
+
+
 def test_trends_names_the_line_and_column_of_a_bad_cell(workdir, capsys):
     (workdir / "sizes.csv").write_text(
         "specialty,year,nodes,edges,diameter\n"

@@ -209,6 +209,31 @@ def test_filter_partitions_corpus():
     assert total == len(corp)
 
 
+LABELS = ("Virology", "Seismology", "other")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.text("abz019", min_size=1, max_size=4), st.sampled_from(LABELS),
+                          st.sampled_from([2008, 2013, 2100])), max_size=30),
+       st.sampled_from(["Alchemy", "virology", ""]))
+def test_filter_records_equals_a_full_scan(rows, unknown):
+    records = {rid: PublicationRecord(id=rid, year=year, journal="J", specialty=specialty,
+                                      field="F", doctype="article", countries=("US",),
+                                      citations=0)
+               for rid, specialty, year in rows}
+    corp = Corpus(records=records, specialty_labels=frozenset(LABELS))
+    for specialty in LABELS:
+        for year in (1990, 2008, 2013, 2100):  # no record has 1990: an empty slice
+            got = filter_records(corp, specialty, year)
+            assert got == [r for r in corp if r.specialty == specialty and r.year == year]
+            got.append(None)  # a new list: the corpus's slice is not changed
+            assert None not in filter_records(corp, specialty, year)
+    with pytest.raises(ValueError) as exc:
+        filter_records(corp, unknown, 2013)
+    assert str(exc.value) == (f"unknown specialty {unknown!r}; "
+                              "valid labels: Seismology, Virology, other")
+
+
 def test_specialty_map_rejects_label_outside_universe():
     with pytest.raises(ValueError, match="not in the universe"):
         SpecialtyMap({"Journal X": "Astrology"}, universe=("Virology",))

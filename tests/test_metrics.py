@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -155,8 +154,8 @@ def as_network(adj, name=str) -> CollabNetwork:
     edges = {tuple(sorted((name(a), name(b)))): Edge(1)
              for a, nbrs in adj.items() for b in nbrs if a < b}
     nodes = tuple(sorted(name(v) for v in adj))
-    return CollabNetwork(specialty="", year=0, nodes=nodes, edges=edges,
-                         node_strength={v: 0 for v in nodes})
+    return CollabNetwork.from_edges(specialty="", year=0, nodes=nodes, edges=edges,
+                                    node_strength={v: 0 for v in nodes})
 
 
 def local_clustering_oracle(adj) -> Fraction:
@@ -195,7 +194,20 @@ def test_battery_matches_oracles_relabeling_and_repeats(adj, data):
     net = as_network(adj)
     assert compute_stats(net) == stats
     # bit-identical whatever order the edges (or set-based adjacency) arrive in
-    assert compute_stats(replace(net, edges=dict(reversed(net.edges.items())))) == stats
+    reversed_net = CollabNetwork.from_edges(net.specialty, net.year, net.nodes,
+                                            dict(reversed(net.edges.items())), net.node_strength)
+    assert compute_stats(reversed_net) == stats
+
+
+@pytest.mark.parametrize("adj,message", [
+    ({"A": {"B", "C"}, "B": {"A", "C"}, "C": {"A", "B", "C"}}, "node 'C' has a self-loop"),
+    ({"A": {"B"}, "C": {"A"}}, "node 'A' has neighbour 'B', which is not a node"),
+])
+def test_bad_adjacency_mapping_names_the_node(adj, message):
+    for statistic in (degree_stats, diameter, betweenness_centrality, clustering):
+        with pytest.raises(ValueError) as exc:
+            statistic(adj)
+        assert str(exc.value) == message
 
 
 # --------------------------------------------------------------- clustering

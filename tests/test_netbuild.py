@@ -115,9 +115,9 @@ def test_cosine_in_unit_interval_and_symmetric_by_construction():
 
 
 def test_cosine_zero_strength_is_internal_error():
-    broken = CollabNetwork(specialty="", year=0, nodes=("AR", "BR"),
-                           edges={("AR", "BR"): Edge(1)},
-                           node_strength={"AR": 0, "BR": 1})
+    broken = CollabNetwork.from_edges(specialty="", year=0, nodes=("AR", "BR"),
+                                      edges={("AR", "BR"): Edge(1)},
+                                      node_strength={"AR": 0, "BR": 1})
     with pytest.raises(RuntimeError, match="consistency"):
         cosine_weights(broken)
 
@@ -154,9 +154,9 @@ def test_copub_sum_bounded_by_multi_country_records():
 
 
 def test_edgelist_csv_exact_line():
-    net = CollabNetwork(specialty="", year=0, nodes=("A", "B"),
-                        edges={("A", "B"): Edge(3, 1.0)},
-                        node_strength={"A": 3, "B": 3})
+    net = CollabNetwork.from_edges(specialty="", year=0, nodes=("A", "B"),
+                                   edges={("A", "B"): Edge(3, 1.0)},
+                                   node_strength={"A": 3, "B": 3})
     text = export_edgelist(net)
     assert text == "source,target,copub_count,cosine\nA,B,3,1.0\n"
     assert export_edgelist(net, header=False) == "A,B,3,1.0\n"
@@ -328,6 +328,20 @@ def test_build_and_cosine_match_a_brute_force_tally(records, policy):
     assert net.edges == {(a, b): Edge(n, n / math.sqrt(strength[a] * strength[b]))
                          for (a, b), n in pairs.items()}
     assert all(isinstance(e, Edge) for e in net.edges.values())
+    # the columns, and every export, follow the keyed order with no sort of their own
+    assert all(i < j for i, j in zip(net.src, net.dst))
+    assert list(zip(net.src, net.dst)) == sorted(zip(net.src, net.dst))
+    assert export_edgelist(net, header=False).splitlines() == [
+        f"{a},{b},{n},{n / math.sqrt(strength[a] * strength[b])!r}"
+        for (a, b), n in sorted(pairs.items())]
+    assert [line.split(" [")[0] for line in export(net, "dot").splitlines() if "--" in line] \
+        == [f'  "{a}" -- "{b}"' for a, b in sorted(pairs)]
+    assert [(e.get("source"), e.get("target")) for e in ElementTree.fromstring(
+        export_graphml(net)).iter("{http://graphml.graphdrawing.org/xmlns}edge")] == sorted(pairs)
+    # the keyed constructor takes the edges in any order and orientation
+    flipped = {(b, a): e for (a, b), e in reversed(net.edges.items())}
+    assert CollabNetwork.from_edges(net.specialty, net.year, reversed(net.nodes), flipped,
+                                    net.node_strength) == net
 
 
 @st.composite
@@ -347,9 +361,10 @@ def simple_networks(draw) -> CollabNetwork:
     for (a, b), e in edges.items():
         strength[a] += e.copub_count
         strength[b] += e.copub_count
-    return CollabNetwork(specialty=draw(st.sampled_from(["", "Virology", "Soil Science"])),
-                         year=draw(st.integers(1900, 2100)), nodes=tuple(sorted(labels)),
-                         edges=edges, node_strength=strength)
+    return CollabNetwork.from_edges(
+        specialty=draw(st.sampled_from(["", "Virology", "Soil Science"])),
+        year=draw(st.integers(1900, 2100)), nodes=tuple(sorted(labels)),
+        edges=edges, node_strength=strength)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

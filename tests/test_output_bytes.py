@@ -7,6 +7,8 @@ every country but GB is on two international papers, so the cosines are
 3 * 1 / 5 connected triples = 0.6, local clustering (1 + 1 + 1/3 + 0) / 4,
 and FR alone brokers the two GB paths, for a betweenness centralization of
 2/3.
+
+Two syngen snapshots pin the statistics battery at full precision as well.
 """
 
 import dataclasses
@@ -16,9 +18,9 @@ import json
 import numpy as np
 import pytest
 
-from collabnet import __version__
+from collabnet import __version__, syngen
 from collabnet.cli import main
-from collabnet.corpus import Corpus, PublicationRecord, write_rejections
+from collabnet.corpus import Corpus, PublicationRecord, filter_records, ingest, write_rejections
 from collabnet.impact import make_observation, write_observations
 from collabnet.lmm import LmmFit, report_csv
 from collabnet.longit import TrendPoint, TrendSeries, trends_csv
@@ -50,6 +52,35 @@ def stats(net):
 
 HEADER = ("specialty,year,nodes,edges,diameter,avg_degree,density,"
           "betweenness_centralization,transitivity,avg_local_clustering,components,alpha\n")
+
+
+# compute_stats(...).to_json_obj() of the Virology 2013 snapshot, power law
+# fitted, on two syngen corpora: (seed, countries, papers) -> every field at
+# full precision.
+SYNGEN_SNAPSHOTS = {
+    (1, 200, 7500): {
+        "specialty": "Virology", "year": 2013, "nodes": 196, "edges": 993, "diameter": 5,
+        "avg_degree": 10.13265306122449, "density": 0.05196232339089482,
+        "betweenness_centralization": 0.053966934238398205,
+        "transitivity": 0.16688712522045857, "avg_local_clustering": 0.23741510899865506,
+        "components": 2, "alpha": 1.3870278688248439},
+    (1612, 60, 10000): {
+        "specialty": "Virology", "year": 2013, "nodes": 60, "edges": 847, "diameter": 2,
+        "avg_degree": 28.233333333333334, "density": 0.47853107344632767,
+        "betweenness_centralization": 0.01669210088197236,
+        "transitivity": 0.5395578589359462, "avg_local_clustering": 0.5504724759414111,
+        "components": 1, "alpha": 1.2607714751234498},
+}
+
+
+@pytest.mark.parametrize("seed,n_countries,n_papers", sorted(SYNGEN_SNAPSHOTS))
+def test_syngen_snapshot_stats_at_full_precision(seed, n_countries, n_papers):
+    cfg = syngen.GenConfig.default(seed=seed, n_countries=n_countries, n_papers=n_papers)
+    records, _ = syngen.generate(cfg)
+    corp = ingest(syngen.records_jsonl(records).splitlines(), syngen.specialty_map_for(cfg))
+    net = cosine_weights(build_network(filter_records(corp, "Virology", 2013)))
+    assert (compute_stats(net, fit_powerlaw=True).to_json_obj()
+            == SYNGEN_SNAPSHOTS[seed, n_countries, n_papers])
 
 
 def test_stats_csv_bytes(stats):
