@@ -210,9 +210,10 @@ def parse_record(obj: dict) -> PublicationRecord:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
-    """Validated records (read-only, keyed and ordered by id) plus the rejection report."""
+    """Validated records (read-only, keyed and ordered by id) plus the rejection report.
+    Frozen, so the slice index built from the records cannot go stale."""
 
     records: Mapping[str, PublicationRecord] = field(default_factory=dict)
     rejections: list[tuple[str, str]] = field(default_factory=list)
@@ -222,7 +223,8 @@ class Corpus:
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):  # sort the keys: sorting items allocates a tuple per record
-        self.records = MappingProxyType({rid: self.records[rid] for rid in sorted(self.records)})
+        records = MappingProxyType({rid: self.records[rid] for rid in sorted(self.records)})
+        object.__setattr__(self, "records", records)
         for rec in self.records.values():
             self._slices.setdefault((rec.specialty, rec.year), []).append(rec)
 

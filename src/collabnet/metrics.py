@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import _csv_text
 from .longit import STATS_TABLE, read_stats_csv  # noqa: F401  (reads stats_csv_text output)
-from .netbuild import CollabNetwork
+from .netbuild import CollabNetwork, Edge
 
 STATS_COLUMNS = tuple(col for col, _ in STATS_TABLE)
 
@@ -68,21 +68,14 @@ class PowerlawFit(NamedTuple):
 
 def _matrix(net) -> tuple[Sequence, np.ndarray]:
     """Sorted node labels and the dense 0/1 adjacency matrix in that order. A
-    mapping with a self-loop or a neighbour that is not a key is a ValueError."""
-    if isinstance(net, CollabNetwork):
-        labels, rows, cols = net.nodes, net.src, net.dst
-    else:
-        labels = sorted(net)
-        index = {v: i for i, v in enumerate(labels)}
-        pairs = [(v, w) for v, nbrs in net.items() for w in nbrs]
-        for v, w in pairs:
-            if v == w or w not in index:
-                raise ValueError(f"node {v!r} has a self-loop" if v == w
-                                 else f"node {v!r} has neighbour {w!r}, which is not a node")
-        rows, cols = [index[v] for v, _ in pairs], [index[w] for _, w in pairs]
-    A = np.zeros((len(labels), len(labels)))
-    A[rows, cols] = A[cols, rows] = 1.0
-    return labels, A
+    mapping goes through `CollabNetwork.from_edges`, so a self-loop or a
+    neighbour that is not a key is a ValueError naming the node."""
+    if not isinstance(net, CollabNetwork):
+        keyed = {tuple(sorted((v, w))): Edge(1) for v, nbrs in net.items() for w in nbrs}
+        net = CollabNetwork.from_edges("", 0, net, keyed, {})
+    A = np.zeros((net.n_nodes, net.n_nodes))
+    A[net.src, net.dst] = A[net.dst, net.src] = 1.0
+    return net.nodes, A
 
 
 def _levels(A: np.ndarray, AA: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -297,10 +290,19 @@ def compute_stats(net: CollabNetwork, fit_powerlaw: bool = False) -> NetworkStat
         except ValueError:
             alpha = None
     return NetworkStats(
-        specialty=net.specialty, year=net.year, n_nodes=net.n_nodes, n_edges=net.n_edges,
-        diameter=diam.steps, avg_degree=avg_degree, density=density,
-        betweenness_centralization=centralization, transitivity=transitivity,
-        avg_local_clustering=avg_local, n_components=diam.n_components, powerlaw_alpha=alpha)
+        specialty=net.specialty,
+        year=net.year,
+        n_nodes=net.n_nodes,
+        n_edges=net.n_edges,
+        diameter=diam.steps,
+        avg_degree=avg_degree,
+        density=density,
+        betweenness_centralization=centralization,
+        transitivity=transitivity,
+        avg_local_clustering=avg_local,
+        n_components=diam.n_components,
+        powerlaw_alpha=alpha,
+    )
 
 
 def _fmt(value, fixed_decimals: bool) -> str:

@@ -52,10 +52,22 @@ class CollabNetwork:
                    edges: Mapping[tuple[str, str], Edge],
                    node_strength: dict[str, int]) -> "CollabNetwork":
         """The network of keyed edges `{(a, b): Edge}`, keys in any order and
-        either orientation; every endpoint must be one of `nodes`."""
+        either orientation. An endpoint that is not one of `nodes`, a
+        self-loop or a pair keyed in both orientations is a ValueError."""
         nodes = tuple(sorted(nodes))
         index = {v: i for i, v in enumerate(nodes)}
-        rows = sorted((*sorted((index[a], index[b])), *e) for (a, b), e in edges.items())
+        columns: dict[tuple[int, int], Edge] = {}
+        for (a, b), e in edges.items():
+            for v, w in ((a, b), (b, a)):
+                if w not in index:
+                    raise ValueError(f"node {v!r} has neighbour {w!r}, which is not a node")
+            if a == b:
+                raise ValueError(f"node {a!r} has a self-loop")
+            key = (index[a], index[b]) if a < b else (index[b], index[a])
+            if key in columns:
+                raise ValueError(f"edge {a!r}-{b!r} is keyed in both orientations")
+            columns[key] = e
+        rows = [(*key, *e) for key, e in sorted(columns.items())]  # keys unique: no Edge compared
         src, dst, count, cosine = zip(*rows) if rows else ((), (), (), ())
         return cls(specialty, year, nodes, src, dst, count, cosine, node_strength)
 
@@ -159,10 +171,13 @@ def export_dot(net: CollabNetwork) -> str:
     from xml.sax.saxutils import quoteattr  # loads urllib.request: keep off `build` CSV
 
     lines = [f"graph {quoteattr(net.specialty or 'collab')} {{"]
-    lines += [f'  "{v}";' for v in net.nodes]
+    for v in net.nodes:
+        lines.append(f'  "{v}";')
     for a, b, n, c in _edge_rows(net):
-        cosine = "" if c is None else f", cosine={repr(c)}"
-        lines.append(f'  "{a}" -- "{b}" [copub_count={n}{cosine}];')
+        attrs = f"copub_count={n}"
+        if c is not None:
+            attrs += f", cosine={repr(c)}"
+        lines.append(f'  "{a}" -- "{b}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -181,14 +196,16 @@ def export_graphml(net: CollabNetwork) -> str:
         f'    <data key="specialty">{escape(net.specialty)}</data>',
         f'    <data key="year">{net.year}</data>',
     ]
-    lines += [f'    <node id={quoteattr(v)}/>' for v in net.nodes]
+    for v in net.nodes:
+        lines.append(f'    <node id={quoteattr(v)}/>')
     for a, b, n, c in _edge_rows(net):
         lines.append(f'    <edge source={quoteattr(a)} target={quoteattr(b)}>')
         lines.append(f'      <data key="copub_count">{n}</data>')
         if c is not None:
             lines.append(f'      <data key="cosine">{repr(c)}</data>')
         lines.append('    </edge>')
-    lines += ['  </graph>', '</graphml>']
+    lines.append('  </graph>')
+    lines.append('</graphml>')
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -232,6 +233,8 @@ def test_filter_records_equals_a_full_scan(rows, unknown):
         filter_records(corp, unknown, 2013)
     assert str(exc.value) == (f"unknown specialty {unknown!r}; "
                               "valid labels: Seismology, Virology, other")
+    with pytest.raises(dataclasses.FrozenInstanceError):  # the slices cannot go stale
+        corp.records = {}
 
 
 def test_specialty_map_rejects_label_outside_universe():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -194,8 +195,8 @@ def test_battery_matches_oracles_relabeling_and_repeats(adj, data):
     net = as_network(adj)
     assert compute_stats(net) == stats
     # bit-identical whatever order the edges (or set-based adjacency) arrive in
-    reversed_net = CollabNetwork.from_edges(net.specialty, net.year, net.nodes,
-                                            dict(reversed(net.edges.items())), net.node_strength)
+    reversed_net = dataclasses.replace(net, src=net.src[::-1], dst=net.dst[::-1],
+                                       count=net.count[::-1], cosine=net.cosine[::-1])
     assert compute_stats(reversed_net) == stats
 
 

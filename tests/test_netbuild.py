@@ -122,6 +122,18 @@ def test_cosine_zero_strength_is_internal_error():
         cosine_weights(broken)
 
 
+@pytest.mark.parametrize("edges,message", [
+    ({("AR", "AR"): Edge(1)}, "node 'AR' has a self-loop"),
+    ({("AR", "BR"): Edge(1), ("BR", "AR"): Edge(1, 0.5)},
+     "edge 'BR'-'AR' is keyed in both orientations"),
+    ({("AR", "CL"): Edge(1)}, "node 'AR' has neighbour 'CL', which is not a node"),
+])
+def test_keyed_constructor_rejects_a_self_loop_a_repeated_pair_or_an_unknown_node(edges, message):
+    with pytest.raises(ValueError) as exc:
+        CollabNetwork.from_edges("", 0, ("AR", "BR"), edges, {"AR": 1, "BR": 1})
+    assert str(exc.value) == message
+
+
 def test_build_is_permutation_invariant():
     rng = np.random.default_rng(2)
     records = [rec(f"p{i}", ["AR", "BR", "CL", "PE", "UY"][: 2 + i % 3])
