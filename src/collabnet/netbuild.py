@@ -112,16 +112,20 @@ def build_network(records: Sequence[PublicationRecord],
 
     international = [r.countries for r in records if r.is_international()]
     strength = Counter(chain.from_iterable(international))
-    counts = Counter(chain.from_iterable(combinations(c, 2) for c in international))
     # every country of an international record has an edge, so it is not dropped
     nodes = tuple(sorted(strength if isolate_policy == "drop"
                          else set(chain.from_iterable(r.countries for r in records))))
     index = {v: i for i, v in enumerate(nodes)}
-    # countries are sorted within a record, so index[a] < index[b]
-    rows = sorted((index[a], index[b], n) for (a, b), n in counts.items())
-    src, dst, count = zip(*rows) if rows else ((), (), ())
-    return CollabNetwork(next(iter(specialties)), next(iter(years)), nodes, src, dst, count,
-                         (None,) * len(src), {v: strength[v] for v in nodes})
+    n = len(nodes)
+    # Edge keys src * n + dst sort in (src, dst) order (src < dst: countries are
+    # sorted within a record); unlike pair tuples, ints do not set off the GC.
+    counts = Counter(index[a] * n + index[b] for c in international
+                     for a, b in combinations(c, 2))
+    keys = sorted(counts)
+    return CollabNetwork(next(iter(specialties)), next(iter(years)), nodes,
+                         tuple(k // n for k in keys), tuple(k % n for k in keys),
+                         tuple(map(counts.__getitem__, keys)), (None,) * len(keys),
+                         {v: strength[v] for v in nodes})
 
 
 def cosine_weights(net: CollabNetwork) -> CollabNetwork:
