@@ -25,10 +25,6 @@ from . import __version__, corpus, netbuild
 from .corpus import _csv_text, _write_text
 
 
-class CliError(ValueError):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     # validation failures (including unknown flags) exit 1, not argparse's 2
     def error(self, message):
@@ -122,9 +118,9 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
         cfg = syngen.GenConfig(seed=args.seed, **fields)
         cfg.validate()
     except KeyError as exc:
-        raise CliError(f"{args.config}: missing key {exc}") from None
+        raise ValueError(f"{args.config}: missing key {exc}") from None
     except ValueError as exc:  # bad JSON, a bad field or an invalid config
-        raise CliError(f"{args.config}: {exc}") from None
+        raise ValueError(f"{args.config}: {exc}") from None
     return cfg
 
 
@@ -150,8 +146,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     smap = (corpus.SpecialtyMap.bundled() if args.map is None
             else _read(corpus.SpecialtyMap.from_csv, args.map))
-    if args.input == "-":  # a line that is not UTF-8 is rejected, as from a file
-        sys.stdin.reconfigure(errors="surrogateescape")
+    if args.input == "-":  # as from a file: a BOM dropped, a line not UTF-8 rejected
+        sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape")
     source = sys.stdin if args.input == "-" else args.input
     result = corpus.ingest(source, smap)
     result.save(args.out)
@@ -192,7 +188,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _load_network(path: str, specialty: str | None, year: int | None) -> netbuild.CollabNetwork:
     p = Path(path)
     if p.suffix.lower() == ".graphml":
-        return _read(netbuild.read_graphml, p)
+        return netbuild.read_graphml(p)
     spec, yr = specialty, year
     if spec is None or yr is None:
         stem = p.stem
@@ -201,18 +197,17 @@ def _load_network(path: str, specialty: str | None, year: int | None) -> netbuil
             if tail.isdigit():
                 spec = spec if spec is not None else head
                 yr = yr if yr is not None else int(tail)
-    return _read(netbuild.read_edgelist, p, specialty=spec or "", year=yr or 0)
+    return netbuild.read_edgelist(p, specialty=spec or "", year=yr or 0)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from . import metrics
 
     if (args.specialty is not None or args.year is not None) and len(args.input) > 1:
-        raise CliError("--specialty/--year label a single --input network")
-    stats_list = []
-    for path in args.input:
-        net = _load_network(path, args.specialty, args.year)
-        stats_list.append(metrics.compute_stats(net, fit_powerlaw=args.powerlaw))
+        raise ValueError("--specialty/--year label a single --input network")
+    stats_list = [_read(lambda p: metrics.compute_stats(_load_network(p, args.specialty, args.year),
+                                                        fit_powerlaw=args.powerlaw), path)
+                  for path in args.input]  # names a network too small for a statistic too
     if args.all_years:
         text = metrics.format_stats_grid([s.to_json_obj() for s in stats_list])
     elif args.out.endswith(".json"):
@@ -231,7 +226,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
     outputs: list[Path] = []
     if args.input.endswith(".csv"):
         if args.observations_out:
-            raise CliError("--observations-out needs a corpus input")
+            raise ValueError("--observations-out needs a corpus input")
         observations = _read(impact.read_observations, args.input)
         fits = {args.specialty or "model": lmm.fit(observations)}
     else:
@@ -241,7 +236,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
             print(f"excluded {rid}: {reason}", file=sys.stderr)
         if args.specialty is not None and args.specialty not in corp.specialty_labels:
             valid = ", ".join(sorted(corp.specialty_labels))
-            raise CliError(f"unknown specialty {args.specialty!r}; valid labels: {valid}")
+            raise ValueError(f"unknown specialty {args.specialty!r}; valid labels: {valid}")
         by_specialty: dict[str, list] = {}  # each list in id order, as the corpus is
         for rec in corp:
             by_specialty.setdefault(rec.specialty, []).append(rec)
@@ -259,7 +254,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"skipping {label}: {exc}", file=sys.stderr)
         if not fits:
-            raise CliError("no slice could be fitted")
+            raise ValueError("no slice could be fitted")
         if args.observations_out:
             impact.write_observations(whole, args.observations_out)
             outputs.append(Path(args.observations_out))
@@ -284,7 +279,7 @@ def cmd_trends(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- export
 
 def cmd_export(args: argparse.Namespace) -> int:
-    _write_network(args, _load_network(args.input, args.specialty, args.year))
+    _write_network(args, _read(_load_network, args.input, args.specialty, args.year))
     return 0
 
 
@@ -378,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"collabnet {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -25,7 +25,7 @@ from sys import intern
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .countries import COUNTRY_CODES, is_known_country, normalize_country
+from .countries import COUNTRY_CODES, normalize_country
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -149,15 +149,10 @@ class SpecialtyMap:
     def from_csv(cls, source: str | Path | Iterable[str],
                  universe: Iterable[str] | None = None) -> "SpecialtyMap":
         """Load a two-column `journal,specialty` CSV (header optional); errors name the line."""
-        reader = csv.reader(_iter_lines(source))
         entries = {}
-        for i, row in enumerate(reader):
-            if not row or not "".join(row).strip() or (
-                    i == 0 and [c.strip().lower() for c in row[:2]] == ["journal", "specialty"]):
-                continue
+        for line, row in _csv_rows(source, ("journal", "specialty")):
             if len(row) < 2:
-                raise ValueError(f"line {reader.line_num}: specialty map row needs two "
-                                 f"columns: {row!r}")
+                raise ValueError(f"line {line}: specialty map row needs two columns: {row!r}")
             entries[row[0]] = row[1].strip()
         if universe is None:
             universe = sorted(set(entries.values()))
@@ -191,7 +186,7 @@ def parse_record(obj: dict) -> PublicationRecord:
     if not codes:
         raise RecordInvalid("empty country set")
     for code in codes:
-        if not is_known_country(code):
+        if code not in COUNTRY_CODES:
             raise RecordInvalid(f"unknown country code: {code}")
     citations = obj.get("citations")
     if isinstance(citations, bool) or not isinstance(citations, int):
@@ -263,13 +258,14 @@ class Corpus:
 
 
 def _iter_lines(source: str | Path | Iterable[str], errors: str = "strict") -> Iterator[str]:
-    """The lines of a path (UTF-8, line endings kept, as `csv` needs), or of an
-    iterable as given. A byte that is not UTF-8 is kept as a surrogate with
-    `errors="surrogateescape"`; with "strict" it is a ValueError naming its line."""
+    """The lines of a path (UTF-8, a leading BOM dropped, line endings kept, as
+    `csv` needs), or of an iterable as given. A byte that is not UTF-8 is kept
+    as a surrogate with `errors="surrogateescape"`; with "strict" it is a
+    ValueError naming its line."""
     if not isinstance(source, (str, Path)):
         yield from source
         return
-    with open(source, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(source, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         if errors == "surrogateescape":
             yield from fh
             return
@@ -277,6 +273,16 @@ def _iter_lines(source: str | Path | Iterable[str], errors: str = "strict") -> I
             if not line.isascii() and (bad := _SURROGATE.search(line)) is not None:
                 raise ValueError(f"line {n}: not valid UTF-8 at character {bad.start() + 1}")
             yield line
+
+
+def _csv_rows(source: str | Path | Iterable[str], header: tuple[str, ...]) -> Iterator[tuple]:
+    """(line where it ends, cells) of each CSV row with a non-blank cell, skipping a first
+    row whose leading cells equal `header`, ignoring case and surrounding spaces."""
+    reader = csv.reader(_iter_lines(source))
+    for i, row in enumerate(reader):
+        if any(c.strip() for c in row) and not (
+                i == 0 and tuple(c.strip().lower() for c in row[:len(header)]) == header):
+            yield reader.line_num, row
 
 
 def _parse_line(line: str, only: tuple[str, int] | None = None, smap: SpecialtyMap | None = None

@@ -49,11 +49,6 @@ def normalize_country(code: str) -> str:
     return ALIASES.get(c, c)
 
 
-def is_known_country(code: str) -> bool:
-    """True when the (already normalized) code is in the bundled universe."""
-    return code in COUNTRY_CODES
-
-
 def sorted_codes() -> list[str]:
     """The full universe in lexicographic order."""
     return sorted(COUNTRY_CODES)

@@ -136,8 +136,10 @@ STATS_TABLE = (
 
 def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
     """Read stats rows back as dicts; blank cells become None. A cell that does not
-    parse, or a missing or blank year/nodes/edges, is a ValueError naming its line."""
+    parse, a missing or blank year/nodes/edges, or a (specialty, year) read
+    before is a ValueError naming its line."""
     out = []
+    lines: dict[tuple[str, int], int] = {}  # the line of each (specialty, year) read
     reader = csv.DictReader(_iter_lines(source))
     for row in reader:
         parsed: dict = {"specialty": row.get("specialty", "")}
@@ -150,6 +152,10 @@ def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
                 parsed[col] = kind(raw) if raw not in (None, "") else None
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: column {col}: {exc}") from None
+        line = lines.setdefault((parsed["specialty"], parsed["year"]), reader.line_num)
+        if line != reader.line_num:
+            raise ValueError(f"line {reader.line_num}: specialty {parsed['specialty']}, "
+                             f"year {parsed['year']} repeats line {line}")
         out.append(parsed)
     return out
 

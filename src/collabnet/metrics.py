@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import _csv_text
 from .longit import STATS_TABLE, read_stats_csv  # noqa: F401  (reads stats_csv_text output)
-from .netbuild import CollabNetwork, Edge
+from .netbuild import CollabNetwork, _network
 
 STATS_COLUMNS = tuple(col for col, _ in STATS_TABLE)
 
@@ -68,11 +68,12 @@ class PowerlawFit(NamedTuple):
 
 def _matrix(net) -> tuple[Sequence, np.ndarray]:
     """Sorted node labels and the dense 0/1 adjacency matrix in that order. A
-    mapping goes through `CollabNetwork.from_edges`, so a self-loop or a
-    neighbour that is not a key is a ValueError naming the node."""
-    if not isinstance(net, CollabNetwork):
-        keyed = {tuple(sorted((v, w))): Edge(1) for v, nbrs in net.items() for w in nbrs}
-        net = CollabNetwork.from_edges("", 0, net, keyed, {})
+    mapping's edges go through `netbuild._network`, so one it rejects is a
+    ValueError naming a node that lists it."""
+    if not isinstance(net, CollabNetwork):  # one row per edge, though listed from both ends
+        rows = {frozenset((v, w)): (f"node {v!r}", v, w, None, None)
+                for v, nbrs in net.items() for w in nbrs}
+        net = _network("", 0, rows.values(), set(net))
     A = np.zeros((net.n_nodes, net.n_nodes))
     A[net.src, net.dst] = A[net.dst, net.src] = 1.0
     return net.nodes, A

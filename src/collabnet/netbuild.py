@@ -8,7 +8,6 @@ pair counts and the per-country counts of internationally coauthored papers.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -16,7 +15,7 @@ from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import PublicationRecord, _csv_text, _iter_lines
+from .corpus import PublicationRecord, _csv_rows, _csv_text
 from .countries import sorted_codes
 
 ISOLATE_POLICIES = ("keep", "drop")
@@ -52,24 +51,11 @@ class CollabNetwork:
                    edges: Mapping[tuple[str, str], Edge],
                    node_strength: dict[str, int]) -> "CollabNetwork":
         """The network of keyed edges `{(a, b): Edge}`, keys in any order and
-        either orientation. An endpoint that is not one of `nodes`, a
-        self-loop or a pair keyed in both orientations is a ValueError."""
-        nodes = tuple(sorted(nodes))
-        index = {v: i for i, v in enumerate(nodes)}
-        columns: dict[tuple[int, int], Edge] = {}
-        for (a, b), e in edges.items():
-            for v, w in ((a, b), (b, a)):
-                if w not in index:
-                    raise ValueError(f"node {v!r} has neighbour {w!r}, which is not a node")
-            if a == b:
-                raise ValueError(f"node {a!r} has a self-loop")
-            key = (index[a], index[b]) if a < b else (index[b], index[a])
-            if key in columns:
-                raise ValueError(f"edge {a!r}-{b!r} is keyed in both orientations")
-            columns[key] = e
-        rows = [(*key, *e) for key, e in sorted(columns.items())]  # keys unique: no Edge compared
-        src, dst, count, cosine = zip(*rows) if rows else ((), (), (), ())
-        return cls(specialty, year, nodes, src, dst, count, cosine, node_strength)
+        either orientation; an edge `_network` rejects is a ValueError naming
+        its key."""
+        rows = ((f"edge {a!r}-{b!r}", a, b, e.copub_count, e.cosine)
+                for (a, b), e in edges.items())
+        return replace(_network(specialty, year, rows, set(nodes)), node_strength=node_strength)
 
     @property
     def edges(self) -> dict[tuple[str, str], Edge]:
@@ -159,10 +145,8 @@ def network_of_size(n_nodes: int, n_edges: int, specialty: str = "",
     if len(labels) < n_nodes:
         raise ValueError("n_nodes exceeds the country universe")
     pairs = [(labels[0], v) for v in labels[1:]] + list(combinations(labels[1:], 2))
-    chosen = pairs[:n_edges]
-    degree = Counter(chain.from_iterable(chosen))
-    return cosine_weights(CollabNetwork.from_edges(
-        specialty, year, labels, dict.fromkeys(chosen, Edge(1)), {v: degree[v] for v in labels}))
+    rows = ((f"edge {a!r}-{b!r}", a, b, None, None) for a, b in pairs[:n_edges])
+    return cosine_weights(_network(specialty, year, rows, set(labels)))
 
 
 def export_edgelist(net: CollabNetwork, header: bool = True) -> str:
@@ -230,16 +214,19 @@ def export(net: CollabNetwork, fmt: str, header: bool = True) -> str:
 def _network(specialty: str, year: int, rows: Iterable[tuple], nodes=None) -> CollabNetwork:
     """The network of `(where, source, target, count_text, cosine_text)` rows.
 
-    Nodes are `nodes` when given, else the edge endpoints. A count of None
-    means 1 and a cosine of None means none. A missing endpoint, an endpoint
-    not in `nodes`, a self-loop, a pair repeated in either direction, a count
-    that is not a positive integer or a cosine that is not a finite number is
-    a ValueError naming the row's `where`.
+    Nodes are `nodes` when given, else the edge endpoints, and a node's
+    strength is the sum of its edges' counts. A count of None means 1 and a
+    cosine of None means none. A missing endpoint, an endpoint not in `nodes`,
+    a self-loop, a pair repeated in either direction, a count that is not a
+    positive integer or a cosine that is not a finite number is a ValueError
+    naming the row's `where`; a node labelled "" or None, one naming `nodes`.
     """
-    edges: dict[tuple[str, str], Edge] = {}
+    if nodes is not None and not nodes.isdisjoint(("", None)):  # read_graphml rejects one
+        raise ValueError("nodes: missing node label")
+    edges: dict[tuple[str, str], tuple[int, float | None]] = {}
     strength: dict[str, int] = {}
     for where, a, b, count_text, cosine_text in rows:
-        if not a or not b:
+        if "" in (a, b) or None in (a, b):  # not a falsy test: 0 is a node label
             raise ValueError(f"{where}: missing endpoint (source {a!r}, target {b!r})")
         for v in (a, b):
             if nodes is not None and v not in nodes:
@@ -261,32 +248,32 @@ def _network(specialty: str, year: int, rows: Iterable[tuple], nodes=None) -> Co
             cosine = math.nan
         if cosine is not None and not math.isfinite(cosine):
             raise ValueError(f"{where}: cosine {cosine_text!r} is not a number")
-        edges[key] = Edge(copub_count=count, cosine=cosine)
+        edges[key] = (count, cosine)
         for v in key:
             strength[v] = strength.get(v, 0) + count
-    ordered = sorted({v for key in edges for v in key} if nodes is None else nodes)
-    return CollabNetwork.from_edges(specialty, year, ordered, edges,
-                                    {v: strength.get(v, 0) for v in ordered})
+    ordered = tuple(sorted({v for key in edges for v in key} if nodes is None else nodes))
+    index = {v: i for i, v in enumerate(ordered)}
+    columns = sorted((index[a], index[b], *e) for (a, b), e in edges.items())  # keys unique
+    src, dst, count, cosine = zip(*columns) if columns else ((), (), (), ())
+    return CollabNetwork(specialty, year, ordered, src, dst, count, cosine,
+                         {v: strength.get(v, 0) for v in ordered})
 
 
 def read_edgelist(source: str | Path | Iterable[str], specialty: str = "",
                   year: int = 0) -> CollabNetwork:
     """Read an edge list CSV back into a network (nodes = edge endpoints).
 
-    A row with fewer than two columns, or any row `_network` rejects, is a
-    ValueError naming the line.
+    A first row `source,target,...` is a header, in any case and with spaces
+    around the cells. A row with fewer than two columns, or any row `_network`
+    rejects, is a ValueError naming the line.
     """
     def rows():
-        reader = csv.reader(_iter_lines(source))
-        for row in reader:
-            if ((reader.line_num == 1 and row[:2] == ["source", "target"])
-                    or not "".join(row).strip()):
-                continue
+        for line, row in _csv_rows(source, ("source", "target")):
             if len(row) < 2:
-                raise ValueError(f"line {reader.line_num}: expected at least 2 columns "
+                raise ValueError(f"line {line}: expected at least 2 columns "
                                  f"(source,target), got {len(row)}")
             padded = row + ["", ""]
-            yield f"line {reader.line_num}", row[0], row[1], padded[2] or None, padded[3] or None
+            yield f"line {line}", row[0], row[1], padded[2] or None, padded[3] or None
 
     return _network(specialty, year, rows())
 
@@ -312,6 +299,8 @@ def read_graphml(source: str | Path) -> CollabNetwork:
             root = ElementTree.fromstring(source)
     except ElementTree.ParseError as exc:  # its text ends with the line and column
         raise ValueError(f"not well-formed XML: {exc}") from None
+    except LookupError as exc:  # the XML declaration, always on line 1, names no codec
+        raise ValueError(f"line 1: {exc}") from None
     graph = root.find(f"{_GML_NS}graph")
     if graph is None:
         raise ValueError("no <graph> element found")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import collabnet
 from collabnet.cli import main
 from collabnet.metrics import read_stats_csv
-from collabnet.netbuild import export_edgelist, network_of_size
+from collabnet.netbuild import export_edgelist, export_graphml, network_of_size
 
 
 @pytest.fixture()
@@ -145,6 +145,23 @@ def test_graphml_that_is_not_well_formed_xml_exits_one(workdir, capsys, command)
     err = capsys.readouterr().err
     assert "bad.graphml: not well-formed XML: no element found: line 1, column 16" in err
     assert not (workdir / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "export"])
+def test_graphml_declaring_an_unknown_encoding_exits_one(workdir, capsys, command):
+    (workdir / "bad.graphml").write_text('<?xml version="1.0" encoding="abc"?><graphml/>')
+    assert run(command, "--input", "bad.graphml", "--out", "out.csv") == 1
+    assert "error: bad.graphml: line 1: unknown encoding: abc\n" in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
+
+
+def test_stats_names_the_file_of_a_network_too_small_for_a_statistic(workdir, capsys):
+    (workdir / "good.csv").write_text("US,DE\nDE,FR\nFR,GB\n")
+    (workdir / "pair.csv").write_text("US,DE\n")
+    assert run("stats", "--input", "good.csv", "pair.csv", "--out", "stats.csv") == 1
+    assert ("error: pair.csv: centralization undefined: need at least 3 nodes\n"
+            in capsys.readouterr().err)
+    assert not (workdir / "stats.csv").exists()
 
 
 def test_stats_names_the_file_of_a_bad_network(workdir, capsys):
@@ -288,17 +305,24 @@ def mutated_observation_csv(draw):
     elif kind == "constant log_fwci":
         for row in rows[1:]:
             row[4:] = ["1.0", repr(math.log(1.1))]
-    data = "".join(",".join(row) + "\n" for row in rows).encode()
+    return kind, mutate_bytes(draw, kind, "".join(",".join(row) + "\n" for row in rows).encode())
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def mutate_bytes(draw, kind: str, data: bytes) -> bytes:
+    """`data` under one of the mutations that work on a file's bytes."""
     if kind == "truncation":
-        data = data[:draw(st.integers(0, len(data) - 1))]
-    elif kind == "BOM":
-        data = b"\xef\xbb\xbf" + data
-    elif kind == "CRLF":
-        data = data.replace(b"\n", b"\r\n")
-    elif kind == "non-UTF-8 byte":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "BOM":
+        return BOM + data
+    if kind == "CRLF":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "non-UTF-8 byte":
         at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
-    return kind, data
+        return data[:at] + b"\xff" + data[at:]
+    return data
 
 
 # what `lmm.fit_random_intercept` rejects, with no file line to name
@@ -321,10 +345,185 @@ def test_regress_on_a_mutated_observation_csv_exits_cleanly(tmp_path_factory, ca
         assert (re.match(rf"{re.escape(path)}: line \d+: ", message)
                 or message.startswith(MODEL_ERRORS)), (kind, message)
     else:
-        assert kind in ("none", "CRLF", "type swap", "nan/inf", "huge integer", "truncation")
+        assert kind in ("none", "CRLF", "BOM", "type swap", "nan/inf", "huge integer",
+                        "truncation")
         for text in (Path(out).read_text(), Path(csv_out).read_text()):
             assert not re.search(r"nan|inf", text, re.IGNORECASE), (kind, text)
-    assert (kind, code) not in [("none", 1), ("CRLF", 1), ("constant log_fwci", 0)]
+    if kind == "BOM":  # read as the file without it
+        Path(path).write_bytes(data.removeprefix(BOM))
+        reports = [Path(out).read_bytes(), Path(csv_out).read_bytes()]
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["regress", "--input", path, "--out", out, "--csv-out", csv_out])
+        assert reports == [Path(out).read_bytes(), Path(csv_out).read_bytes()]
+    assert (kind, code) not in [("none", 1), ("CRLF", 1), ("BOM", 1), ("constant log_fwci", 0)]
+
+
+# ------------------------------------------------- network and map reader fuzz
+
+MAP_ROWS = [["journal", "specialty"], ["Journal of Virology", "Virology"],
+            ["Journal of Seismology", "Seismology"], ["Soil", "Soil Science"]]
+MAP_RECORDS = "".join(
+    json.dumps({"id": f"p{i}", "year": 2013, "journal": journal, "countries": ["US", "DE"],
+                "citations": i}) + "\n" for i, (journal, _) in enumerate(MAP_ROWS[1:]))
+# what `metrics` rejects in a network too small for a statistic, with no line to name
+STATS_ERRORS = ("degenerate network", "centralization undefined", "no paths")
+# a line, an element by its 1-based index, the graph's year, a missing <graph>,
+# or where XML parsing stopped
+LOCATED = (r"(line \d+|<edge> \d+|<node> \d+|<data key=\"year\">|no <graph> element"
+           r"|not well-formed XML: .*line \d+, column \d+)")
+
+
+def network_rows() -> list[list[str]]:
+    """The header and edges of a six-node network with cosines."""
+    net = network_of_size(6, 9, "Virology", 2013)
+    return [line.split(",") for line in export_edgelist(net).splitlines()]
+
+
+@st.composite
+def mutated_csv(draw, rows: list[list[str]]):
+    """(kind, bytes) of `rows` under one mutation."""
+    rows = [list(row) for row in rows]
+    kind = draw(st.sampled_from(["none", "truncation", "dropped column", "type swap", "BOM",
+                                 "CRLF", "non-UTF-8 byte", "nan/inf", "huge integer",
+                                 "header"]))
+    i = draw(st.integers(1, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    if kind == "dropped column":
+        rows = [row[:j] + row[j + 1:] for row in rows]
+    elif kind == "type swap":
+        rows[i][j] = draw(st.sampled_from(["abc", "1.5", "", "2e3", "-", "true", "US"]))
+    elif kind == "nan/inf":
+        rows[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    elif kind == "huge integer":
+        rows[i][j] = draw(st.sampled_from(["", "-"])) + "1" + "0" * draw(st.integers(15, 5000))
+    elif kind == "header":  # capitalised or space-padded
+        rows[0] = [draw(st.sampled_from([c.upper(), c.title(), f" {c} "])) for c in rows[0]]
+    data = "".join(",".join(row) + "\n" for row in rows).encode()
+    return kind, mutate_bytes(draw, kind, data)
+
+
+@st.composite
+def mutated_graphml(draw):
+    """(kind, bytes) of a GraphML network under one mutation."""
+    lines = export_graphml(network_of_size(6, 9, "Virology", 2013)).splitlines()
+    kind = draw(st.sampled_from(["none", "truncation", "dropped column", "type swap", "BOM",
+                                 "CRLF", "non-UTF-8 byte", "nan/inf", "huge integer",
+                                 "malformed XML"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    values = [m for m in re.finditer(r'(?<==")[^"]*|(?<=>)[^<]+', lines[i])]
+    if kind == "dropped column":  # an attribute or a <data> element
+        lines[i] = re.sub(draw(st.sampled_from([r' \w+="[^"]*"', r"<data .*?</data>"])), "",
+                          lines[i], count=1)
+    elif kind in ("type swap", "nan/inf", "huge integer") and values:
+        m = draw(st.sampled_from(values))
+        value = {"type swap": st.sampled_from(["abc", "1.5", "", "2e3", "-", "US"]),
+                 "nan/inf": st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]),
+                 "huge integer": st.integers(15, 5000).map(lambda n: "1" + "0" * n)}[kind]
+        lines[i] = lines[i][:m.start()] + draw(value) + lines[i][m.end():]
+    elif kind == "malformed XML":
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(["<", "&", '"', "</x>"])) + lines[i][at:]
+    return kind, mutate_bytes(draw, kind, ("\n".join(lines) + "\n").encode())
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def check_mutated_input(where: Path, name: str, kind: str, data: bytes, argv: list[str],
+                        clean: bytes, same_as_clean: tuple[str, ...]) -> None:
+    """Run `argv` on `data` written to `where/name`: it exits 0, or 1 with a
+    message naming the file and a place in it; the kinds in `same_as_clean`
+    exit 0 with the output of the unmutated file."""
+    path, out = str(where / name), str(where / "out")
+    outputs = []
+    for text in (clean, data):
+        Path(path).write_bytes(text)
+        code, err = run_quietly([*argv, path, "--out", out])
+        outputs.append(Path(out).read_bytes() if code == 0 else None)
+    assert code in (0, 1), (kind, err)
+    if code == 1:
+        message = err.split(": error: ", 1)[1]
+        assert message.startswith(f"{path}: "), (kind, message)
+        place = message.removeprefix(f"{path}: ")
+        assert re.match(LOCATED, place) or argv[0] == "stats" and place.startswith(STATS_ERRORS), \
+            (kind, message)
+    elif argv[0] == "stats":
+        assert all(math.isfinite(v) for row in read_stats_csv(out) for col, v in row.items()
+                   if col != "specialty" and v is not None), kind
+    if kind in same_as_clean:
+        assert outputs[1] == outputs[0] is not None, (kind, err)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["stats", "export"]), mutated_csv(network_rows()))
+def test_a_mutated_edge_list_exits_cleanly(tmp_path_factory, command, case):
+    kind, data = case
+    check_mutated_input(tmp_path_factory.mktemp("fuzz"), "net.csv", kind, data,
+                        [command, "--input"], "".join(
+                            ",".join(row) + "\n" for row in network_rows()).encode(),
+                        ("none", "BOM", "CRLF", "header"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["stats", "export"]), mutated_graphml())
+def test_a_mutated_graphml_network_exits_cleanly(tmp_path_factory, command, case):
+    kind, data = case
+    check_mutated_input(tmp_path_factory.mktemp("fuzz"), "net.graphml", kind, data,
+                        [command, "--input"],
+                        export_graphml(network_of_size(6, 9, "Virology", 2013)).encode(),
+                        ("none", "BOM", "CRLF"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_csv(MAP_ROWS))
+def test_a_mutated_specialty_map_exits_cleanly(tmp_path_factory, case):
+    kind, data = case
+    where = tmp_path_factory.mktemp("fuzz")
+    (where / "raw.jsonl").write_text(MAP_RECORDS)
+    check_mutated_input(where, "map.csv", kind, data,
+                        ["ingest", "--input", str(where / "raw.jsonl"), "--map"],
+                        "".join(",".join(row) + "\n" for row in MAP_ROWS).encode(),
+                        ("none", "BOM", "CRLF", "header"))
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["stats", "--input", "in.csv"], "source,target\nUS,DE\nDE,FR\nFR,GB\n"),
+    (["trends", "--input", "in.csv"],
+     "specialty,year,nodes,edges\nA,2008,3,2\nA,2013,4,5\nB,2008,2,1\nB,2013,5,6\n"),
+    (["ingest", "--input", "raw.jsonl", "--map", "in.csv"],
+     "Journal of Virology,Virology\nJournal of Seismology,Seismology\n"),
+], ids=["edgelist", "stats", "headerless-map"])
+def test_a_csv_input_with_a_bom_reads_as_without(workdir, argv, text):
+    # as Excel's "CSV UTF-8" writes it
+    (workdir / "raw.jsonl").write_text(MAP_RECORDS)
+    outputs = []
+    for bom in (b"", BOM):
+        (workdir / "in.csv").write_bytes(bom + text.encode())
+        assert run(*argv, "--out", "out.txt") == 0
+        outputs.append((workdir / "out.txt").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("header", ["Source,Target", " source , TARGET ,Copub_Count"])
+def test_an_edge_list_header_is_read_in_any_case(workdir, header):
+    (workdir / "path.csv").write_text(f"{header}\nUS,DE\nDE,FR\n")
+    assert run("stats", "--input", "path.csv", "--out", "stats.csv") == 0
+    row = read_stats_csv(workdir / "stats.csv")[0]
+    assert (row["nodes"], row["edges"], row["components"]) == (3, 2, 1)
+
+
+def test_trends_names_the_line_of_a_repeated_specialty_and_year(workdir, capsys):
+    (workdir / "sizes.csv").write_text("specialty,year,nodes,edges\n"
+                                       "A,2008,3,2\nA,2013,4,5\nB,2008,2,1\nB,2013,5,6\n"
+                                       "A,2008,3,2\n")
+    assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
+    assert ("error: sizes.csv: line 6: specialty A, year 2008 repeats line 2"
+            in capsys.readouterr().err)
+    assert not (workdir / "trends.csv").exists()
 
 
 @pytest.mark.parametrize("row", [1, 5, 16])

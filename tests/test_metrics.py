@@ -201,8 +201,8 @@ def test_battery_matches_oracles_relabeling_and_repeats(adj, data):
 
 
 @pytest.mark.parametrize("adj,message", [
-    ({"A": {"B", "C"}, "B": {"A", "C"}, "C": {"A", "B", "C"}}, "node 'C' has a self-loop"),
-    ({"A": {"B"}, "C": {"A"}}, "node 'A' has neighbour 'B', which is not a node"),
+    ({"A": {"B", "C"}, "B": {"A", "C"}, "C": {"A", "B", "C"}}, "node 'C': self-loop C-C"),
+    ({"A": {"B"}, "C": {"A"}}, "node 'A': endpoint 'B' is not a declared node"),
 ])
 def test_bad_adjacency_mapping_names_the_node(adj, message):
     for statistic in (degree_stats, diameter, betweenness_centrality, clustering):

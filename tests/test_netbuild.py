@@ -11,6 +11,7 @@ from collabnet import syngen
 from collabnet.cli import main
 from collabnet.corpus import Corpus, PublicationRecord, ingest
 from collabnet.countries import sorted_codes
+from collabnet.metrics import degree_stats
 from collabnet.netbuild import (
     CollabNetwork,
     Edge,
@@ -123,15 +124,71 @@ def test_cosine_zero_strength_is_internal_error():
 
 
 @pytest.mark.parametrize("edges,message", [
-    ({("AR", "AR"): Edge(1)}, "node 'AR' has a self-loop"),
+    ({("AR", "AR"): Edge(1)}, "edge 'AR'-'AR': self-loop AR-AR"),
     ({("AR", "BR"): Edge(1), ("BR", "AR"): Edge(1, 0.5)},
-     "edge 'BR'-'AR' is keyed in both orientations"),
-    ({("AR", "CL"): Edge(1)}, "node 'AR' has neighbour 'CL', which is not a node"),
+     "edge 'BR'-'AR': duplicate pair AR-BR"),
+    ({("AR", "CL"): Edge(1)}, "edge 'AR'-'CL': endpoint 'CL' is not a declared node"),
+    # the rules the readers apply, so that every network exports to a file that reads back
+    ({("AR", "BR"): Edge(0)}, "edge 'AR'-'BR': copub_count must be positive, got 0"),
+    ({("AR", "BR"): Edge(-1)}, "edge 'AR'-'BR': copub_count must be positive, got -1"),
+    ({("AR", "BR"): Edge(1, math.nan)}, "edge 'AR'-'BR': cosine nan is not a number"),
+    ({("AR", "BR"): Edge(1, math.inf)}, "edge 'AR'-'BR': cosine inf is not a number"),
+    ({("", "AR"): Edge(1)}, "edge ''-'AR': missing endpoint (source '', target 'AR')"),
 ])
 def test_keyed_constructor_rejects_a_self_loop_a_repeated_pair_or_an_unknown_node(edges, message):
     with pytest.raises(ValueError) as exc:
         CollabNetwork.from_edges("", 0, ("AR", "BR"), edges, {"AR": 1, "BR": 1})
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nodes", [("", "AR", "BR"), ("AR", None, "BR")])
+def test_keyed_constructor_rejects_a_node_with_no_label(nodes):
+    # an isolated node: no edge rule sees it, and GraphML would write <node id=""/>
+    with pytest.raises(ValueError, match="^nodes: missing node label$"):
+        CollabNetwork.from_edges("", 0, nodes, {("AR", "BR"): Edge(1)}, {})
+
+
+# Labels that CSV and GraphML can both hold, with the characters they quote
+LABELS = st.sampled_from(["", " ", "AR", "BR", "CL", "a,b", ' "q" ', "<&>", "source"]) | st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Cn")), max_size=3)
+
+
+def read_back(net: CollabNetwork, where) -> CollabNetwork:
+    """`net` exported as an edge list and as GraphML, each read back from its
+    file; checks that both give its edges and returns the GraphML network."""
+    (where / "net.csv").write_bytes(export_edgelist(net).encode())
+    (where / "net.graphml").write_bytes(export_graphml(net).encode())
+    assert read_edgelist(where / "net.csv").edges == net.edges
+    back = read_graphml(where / "net.graphml")
+    assert back.edges == net.edges
+    return back
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.tuples(LABELS, LABELS),
+                       st.builds(Edge, st.integers(-1, 3) | st.integers(),
+                                 st.none() | st.floats()), max_size=6),
+       st.sets(LABELS, max_size=4), st.booleans())
+def test_keyed_edges_are_rejected_or_read_back_from_every_export(tmp_path_factory, edges, extra,
+                                                                   declare_ends):
+    nodes = extra | ({v for key in edges for v in key} if declare_ends else set())
+    try:
+        net = CollabNetwork.from_edges("Virology", 2013, nodes, edges, {})
+    except ValueError:
+        return
+    assert read_back(net, tmp_path_factory.mktemp("net")).nodes == net.nodes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(LABELS, st.sets(LABELS, max_size=3), max_size=5))
+def test_an_adjacency_mapping_is_rejected_or_read_back_from_every_export(tmp_path_factory, adj):
+    try:
+        degrees = degree_stats(adj)[0]
+    except ValueError:
+        return
+    keyed = {tuple(sorted((v, w))): Edge(1) for v, nbrs in adj.items() for w in nbrs}
+    net = CollabNetwork.from_edges("", 0, adj, keyed, {})
+    assert degree_stats(read_back(net, tmp_path_factory.mktemp("net")))[0] == degrees
 
 
 def test_build_is_permutation_invariant():
