@@ -22,7 +22,7 @@ from pathlib import Path
 # Standard library only. syngen, metrics and lmm load numpy, and impact and
 # longit serve one or two commands, so the commands that use them import them.
 from . import __version__, corpus, netbuild
-from .corpus import _csv_text, _write_text
+from .corpus import _csv_text, _number, _write_text
 
 
 class Parser(argparse.ArgumentParser):
@@ -76,10 +76,13 @@ def _citation_model(v: dict) -> syngen.CitationModel:
 
     means = {}
     for i, m in enumerate(v["means"]):
-        means[m["field"], int(m["year"]), m["doctype"]] = float(m["mean"])
+        if not isinstance(m["field"], str) or not isinstance(m["doctype"], str):
+            raise ValueError(f"means[{i}]: field and doctype must be text")
+        means[m["field"], _number(m["year"], int, f"means[{i}]: year"), m["doctype"]] = \
+            _number(m["mean"], float, f"means[{i}]: mean")
         _known_keys(m, ("field", "year", "doctype", "mean"), f"means[{i}]: ")
     _known_keys(v, ("means", "dispersion"))
-    return syngen.CitationModel(means=means, dispersion=float(v.get("dispersion", 1.5)))
+    return syngen.CitationModel(means, _number(v.get("dispersion", 1.5), float, "dispersion"))
 
 
 def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
@@ -90,20 +93,23 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
             seed=args.seed,
             n_countries=args.n_countries,
             n_papers=args.n_papers,
-            years=tuple(int(y) for y in args.years.split(",")),
+            years=tuple(_number(y, int, "--years: year") for y in args.years.split(",")),
             attachment_strength=args.attachment_strength,
         )
     converters = {
-        "n_countries": int,
-        "n_papers": int,
-        "years": lambda v: tuple(int(y) for y in v),
-        "countries_per_paper": lambda v: {int(k): float(p) for k, p in v.items()},
-        "attachment_strength": float,
+        "n_countries": lambda v: _number(v, int, "value"),
+        "n_papers": lambda v: _number(v, int, "value"),
+        "years": lambda v: tuple(_number(y, int, f"[{i}]") for i, y in enumerate(v)),
+        "countries_per_paper": lambda v: {
+            _number(k, int, "size"): _number(p, float, f"[{k!r}]") for k, p in v.items()},
+        "attachment_strength": lambda v: _number(v, float, "value"),
         "citation_model": _citation_model,
     }
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(args.config, encoding="utf-8-sig") as fh:  # an integer int() may refuse,
+            # of 640 digits or more, reads as inf, as a long decimal does, for `_number`
+            raw = json.load(fh, parse_int=lambda s: _number(s, int, "integer") if len(s) < 640
+                            else float("inf"))
         if not isinstance(raw, dict):
             raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
         if "seed" in raw:
@@ -113,7 +119,7 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
         for key, convert in converters.items():
             try:
                 fields[key] = convert(raw[key])
-            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            except (TypeError, ValueError, AttributeError) as exc:
                 raise ValueError(f"{key}: {exc}") from None
         cfg = syngen.GenConfig(seed=args.seed, **fields)
         cfg.validate()
@@ -127,6 +133,14 @@ def _gen_config(args: argparse.Namespace) -> syngen.GenConfig:
 def cmd_gen(args: argparse.Namespace) -> int:
     from . import syngen
 
+    # the defaults, set before the manifest hashes the options; --config gives all four
+    for flag, default in {"n_countries": 60, "n_papers": 2000, "years": "2008,2013",
+                          "attachment_strength": 0.8}.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.config:
+            raise ValueError(f"{args.config}: --{flag.replace('_', '-')} cannot be combined "
+                             "with --config")
     cfg = _gen_config(args)
     records, truth = syngen.generate(cfg)
     outputs: list[Path] = []
@@ -189,15 +203,11 @@ def _load_network(path: str, specialty: str | None, year: int | None) -> netbuil
     p = Path(path)
     if p.suffix.lower() == ".graphml":
         return netbuild.read_graphml(p)
-    spec, yr = specialty, year
-    if spec is None or yr is None:
-        stem = p.stem
-        if "-" in stem:
-            head, _, tail = stem.rpartition("-")
-            if tail.isdigit():
-                spec = spec if spec is not None else head
-                yr = yr if yr is not None else int(tail)
-    return netbuild.read_edgelist(p, specialty=spec or "", year=yr or 0)
+    head, dash, tail = p.stem.rpartition("-")
+    if dash and tail.isascii() and tail.isdigit():  # a file named <specialty>-<year>
+        specialty = head if specialty is None else specialty
+        year = _number(tail, int, "year") if year is None else year
+    return netbuild.read_edgelist(p, specialty=specialty or "", year=year or 0)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -297,10 +307,10 @@ def build_parser() -> Parser:
     p.add_argument("--truth-out", help="ground-truth draw log CSV")
     p.add_argument("--map-out", help="matching journal,specialty CSV")
     p.add_argument("--config", help="full generator config JSON")
-    p.add_argument("--n-countries", type=int, default=60)
-    p.add_argument("--n-papers", type=int, default=2000)
-    p.add_argument("--years", default="2008,2013")
-    p.add_argument("--attachment-strength", type=float, default=0.8)
+    p.add_argument("--n-countries", type=int)  # these four: defaults in cmd_gen
+    p.add_argument("--n-papers", type=int)
+    p.add_argument("--years")
+    p.add_argument("--attachment-strength", type=float)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ingest", help="validate records and persist the corpus")

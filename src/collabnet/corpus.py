@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -42,6 +44,11 @@ DEFAULT_SPECIALTIES = (
 OTHER_SPECIALTY = "other"
 
 _WS = re.compile(r"\s+")
+# `_number`'s rule per kind: ASCII decimal text (as `repr` and `.12g` write it, `1e+16` too;
+# no `_`, `nan` or other digits), or a non-bool value of the abstract number type
+_NUMBER_RULES = {int: (re.compile(r"\s*[+-]?[0-9]+\s*"), numbers.Integral, "an integer"),
+                 float: (re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*"),
+                         numbers.Real, "a number")}
 
 # A line as `_jsonl_lines` writes a record: sorted keys, no spaces, strings
 # without escapes or surrogates, optionally followed by a line ending.
@@ -193,15 +200,15 @@ def parse_record(obj: dict) -> PublicationRecord:
         raise RecordInvalid("invalid citations")
     if citations < 0:
         raise RecordInvalid(f"negative citations: {citations}")
+    texts = {key: obj.get(key) or "" for key in ("journal", "specialty", "field", "doctype")}
+    if bad := [key for key, text in texts.items() if not isinstance(text, str)]:
+        raise RecordInvalid(f"invalid {bad[0]}")
     return PublicationRecord(
         id=rid,
         year=year,
-        journal=str(obj.get("journal", "") or ""),
-        specialty=str(obj.get("specialty", "") or ""),
-        field=str(obj.get("field", "") or ""),
-        doctype=str(obj.get("doctype", "") or ""),
         countries=tuple(sorted(set(map(intern, codes)))),  # one string per code, not per record
         citations=citations,
+        **texts,
     )
 
 
@@ -283,6 +290,21 @@ def _csv_rows(source: str | Path | Iterable[str], header: tuple[str, ...]) -> It
         if any(c.strip() for c in row) and not (
                 i == 0 and tuple(c.strip().lower() for c in row[:len(header)]) == header):
             yield reader.line_num, row
+
+
+def _number(value, kind: type, what: str):
+    """`value`, from outside the program, read as `kind` (int or float) by its
+    rule above, a float finite; anything else is a ValueError naming `what`."""
+    pattern, cls, name = _NUMBER_RULES[kind]
+    try:  # text past the int-string digit limit, or an int too large for a float
+        if (pattern.fullmatch(value) if isinstance(value, str)
+                else isinstance(value, cls) and not isinstance(value, bool)):
+            out = kind(value)
+            if kind is int or math.isfinite(out):
+                return out
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} {value!r} is not {name}")
 
 
 def _parse_line(line: str, only: tuple[str, int] | None = None, smap: SpecialtyMap | None = None

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import YEAR_MAX, YEAR_MIN, PublicationRecord, _csv_text, _iter_lines, _write_text
+from .corpus import (YEAR_MAX, YEAR_MIN, PublicationRecord, _csv_text, _iter_lines, _number,
+                     _write_text)
 
 LOG_OFFSET = 0.1
 
@@ -126,8 +127,8 @@ def write_observations(observations: Iterable[ComboObservation],
 def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservation]:
     """Read an observation CSV as `write_observations` writes it.
 
-    A missing column, a short row, a cell that is not an integer or a finite
-    number, a `year` outside YEAR_MIN-YEAR_MAX, a `publication_count` outside
+    A missing column, a short row, a cell the number rule of `_number`
+    rejects, a `year` outside YEAR_MIN-YEAR_MAX, a `publication_count` outside
     1-2**53, a `country_count` below 2, a negative `mean_fwci`, a `log_fwci`
     more than 1e-12 relative from ln(mean_fwci + 0.1), or a `country_count`
     other than the number of countries in `combo_id` is a ValueError naming
@@ -142,17 +143,9 @@ def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservati
         where = f"line {reader.line_num}"
         if None in row.values():
             raise ValueError(f"{where}: expected {len(reader.fieldnames)} columns")
-        try:
-            ob = ComboObservation(
-                combo_id=tuple(row["combo_id"].split("-")),
-                year=int(row["year"]),
-                country_count=int(row["country_count"]),
-                publication_count=int(row["publication_count"]),
-                mean_fwci=float(row["mean_fwci"]),
-                log_fwci=float(row["log_fwci"]),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        ob = ComboObservation(tuple(row["combo_id"].split("-")), *(
+            _number(row[col], kind, f"{where}: {col}")
+            for col, kind in zip(OBSERVATION_COLUMNS[1:], (int, int, int, float, float))))
         if not YEAR_MIN <= ob.year <= YEAR_MAX:
             raise ValueError(f"{where}: year {ob.year} is outside {YEAR_MIN}-{YEAR_MAX}")
         if not 1 <= ob.publication_count <= 2 ** 53:  # a float holds each such count exactly
@@ -160,9 +153,6 @@ def read_observations(source: str | Path | Iterable[str]) -> list[ComboObservati
                              f"1-{2 ** 53}")
         if ob.country_count < 2:
             raise ValueError(f"{where}: country_count {ob.country_count} is below 2")
-        if not (math.isfinite(ob.mean_fwci) and math.isfinite(ob.log_fwci)):
-            raise ValueError(f"{where}: mean_fwci {ob.mean_fwci!r} and log_fwci "
-                             f"{ob.log_fwci!r} must be finite")
         if ob.mean_fwci < 0:
             raise ValueError(f"{where}: mean_fwci {ob.mean_fwci!r} is negative")
         log_fwci = math.log(ob.mean_fwci + LOG_OFFSET)

@@ -19,7 +19,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import _csv_text, _iter_lines
+from .corpus import _csv_text, _iter_lines, _number
 
 
 @dataclass(frozen=True)
@@ -132,26 +132,25 @@ STATS_TABLE = (
     ("transitivity", float), ("avg_local_clustering", float), ("components", int),
     ("alpha", float),
 )
+_NEEDED = ("specialty", "year", "nodes", "edges")  # of which only specialty may be blank
 
 
 def read_stats_csv(source: str | Path | Iterable[str]) -> list[dict]:
-    """Read stats rows back as dicts; blank cells become None. A cell that does not
-    parse, a missing or blank year/nodes/edges, or a (specialty, year) read
-    before is a ValueError naming its line."""
+    """Read stats rows back as dicts, blank number cells as None. A number `_number`
+    rejects, a count outside 0-2**53 (a float holds each), a `_NEEDED` column missing or
+    (but specialty) blank, or a (specialty, year) read before is a ValueError naming its line."""
     out = []
     lines: dict[tuple[str, int], int] = {}  # the line of each (specialty, year) read
     reader = csv.DictReader(_iter_lines(source))
     for row in reader:
-        parsed: dict = {"specialty": row.get("specialty", "")}
-        for col, kind in STATS_TABLE[1:]:
-            raw = row.get(col)
-            if raw in (None, "") and col in ("year", "nodes", "edges"):
-                problem = "missing" if raw is None else "blank cell"
-                raise ValueError(f"line {reader.line_num}: column {col}: {problem}")
-            try:
-                parsed[col] = kind(raw) if raw not in (None, "") else None
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: column {col}: {exc}") from None
+        parsed: dict = {}
+        for col, kind in STATS_TABLE:
+            raw, where = row.get(col), f"line {reader.line_num}: column {col}"
+            if raw is None and col in _NEEDED or raw == "" and col in _NEEDED[1:]:
+                raise ValueError(f"{where}: {'missing' if raw is None else 'blank cell'}")
+            v = parsed[col] = raw if kind is str else _number(raw, kind, where) if raw else None
+            if kind is int and col != "year" and v is not None and not 0 <= v <= 2 ** 53:
+                raise ValueError(f"{where} {v} is outside 0-2**53")
         line = lines.setdefault((parsed["specialty"], parsed["year"]), reader.line_num)
         if line != reader.line_num:
             raise ValueError(f"line {reader.line_num}: specialty {parsed['specialty']}, "

@@ -15,7 +15,7 @@ from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import PublicationRecord, _csv_rows, _csv_text
+from .corpus import PublicationRecord, _csv_rows, _csv_text, _number
 from .countries import sorted_codes
 
 ISOLATE_POLICIES = ("keep", "drop")
@@ -212,7 +212,7 @@ def export(net: CollabNetwork, fmt: str, header: bool = True) -> str:
 
 
 def _network(specialty: str, year: int, rows: Iterable[tuple], nodes=None) -> CollabNetwork:
-    """The network of `(where, source, target, count_text, cosine_text)` rows.
+    """The network of `(where, source, target, count, cosine)` rows.
 
     Nodes are `nodes` when given, else the edge endpoints, and a node's
     strength is the sum of its edges' counts. A count of None means 1 and a
@@ -225,7 +225,7 @@ def _network(specialty: str, year: int, rows: Iterable[tuple], nodes=None) -> Co
         raise ValueError("nodes: missing node label")
     edges: dict[tuple[str, str], tuple[int, float | None]] = {}
     strength: dict[str, int] = {}
-    for where, a, b, count_text, cosine_text in rows:
+    for where, a, b, count, cosine in rows:
         if "" in (a, b) or None in (a, b):  # not a falsy test: 0 is a node label
             raise ValueError(f"{where}: missing endpoint (source {a!r}, target {b!r})")
         for v in (a, b):
@@ -236,18 +236,10 @@ def _network(specialty: str, year: int, rows: Iterable[tuple], nodes=None) -> Co
         key = (a, b) if a < b else (b, a)
         if key in edges:
             raise ValueError(f"{where}: duplicate pair {key[0]}-{key[1]}")
-        try:
-            count = 1 if count_text is None else int(count_text)
-        except ValueError:
-            raise ValueError(f"{where}: copub_count {count_text!r} is not an integer") from None
+        count = 1 if count is None else _number(count, int, f"{where}: copub_count")
         if count < 1:
             raise ValueError(f"{where}: copub_count must be positive, got {count}")
-        try:
-            cosine = None if cosine_text is None else float(cosine_text)
-        except ValueError:
-            cosine = math.nan
-        if cosine is not None and not math.isfinite(cosine):
-            raise ValueError(f"{where}: cosine {cosine_text!r} is not a number")
+        cosine = None if cosine is None else _number(cosine, float, f"{where}: cosine")
         edges[key] = (count, cosine)
         for v in key:
             strength[v] = strength.get(v, 0) + count
@@ -286,7 +278,7 @@ def read_graphml(source: str | Path) -> CollabNetwork:
 
     A `<node>` without an id or declared twice is a ValueError naming its
     1-based `<node>` index; any edge `_network` rejects, one naming its
-    1-based `<edge>` index; a graph year that is not an integer, one naming
+    1-based `<edge>` index; a graph year `_number` rejects as an integer, one naming
     its `<data key="year">`; text that is not well-formed XML, one naming the
     line and column where parsing stopped. A `<data>` element present but
     empty is invalid.
@@ -309,10 +301,7 @@ def read_graphml(source: str | Path) -> CollabNetwork:
         if data.get("key") == "specialty":
             specialty = data.text or ""
         elif data.get("key") == "year":
-            try:
-                year = int(data.text or 0)
-            except ValueError:
-                raise ValueError(f'<data key="year">: year {data.text!r} is not an integer') from None
+            year = _number(data.text or "", int, '<data key="year">: year')
     nodes: set[str] = set()
     for i, el in enumerate(graph.findall(f"{_GML_NS}node"), start=1):
         v = el.get("id")

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -82,6 +83,10 @@ def test_validation_error_exits_one(workdir):
     ("US,DE,1,abc\n", "line 1: cosine 'abc' is not a number"),
     # a quoted endpoint spans lines 2-3, so the next row is on line 4
     ('source,target\n"U\nS",DE,1,\nUS,US,1,\n', "line 4: self-loop US-US"),
+    # number forms that int() and float() read, but the input rule does not
+    ("US,DE,1_000\n", "line 1: copub_count '1_000' is not an integer"),
+    ("US,DE,\u0663\n", "line 1: copub_count '\u0663' is not an integer"),
+    ("US,DE,1,0_5\n", "line 1: cosine '0_5' is not a number"),
 ])
 def test_non_simple_edgelist_exits_one(workdir, capsys, rows, message):
     (workdir / "bad.csv").write_text(rows)
@@ -245,9 +250,9 @@ GOOD_ROW = "DE-US,2013,2,1,1.5,0.47000362924573563\n"  # log_fwci = ln(1.5 + 0.1
 
 @pytest.mark.parametrize("text,message", [
     (OBSERVATIONS + GOOD_ROW + "DE-FR,2013,2,3,1.0,nan\n",
-     "line 3: mean_fwci 1.0 and log_fwci nan must be finite"),
+     "line 3: log_fwci 'nan' is not a number"),
     (OBSERVATIONS + "DE-US,2013,2,1,inf,inf\n",
-     "line 2: mean_fwci inf and log_fwci inf must be finite"),
+     "line 2: mean_fwci 'inf' is not a number"),
     (OBSERVATIONS.replace("combo_id,", "") + GOOD_ROW.replace("DE-US,", ""),
      "line 1: missing column(s) combo_id"),
     (OBSERVATIONS + GOOD_ROW.replace(",2,", ",3,", 1),
@@ -265,8 +270,13 @@ GOOD_ROW = "DE-US,2013,2,1,1.5,0.47000362924573563\n"  # log_fwci = ln(1.5 + 0.1
      "line 2: publication_count 9007199254740993 is outside 1-9007199254740992"),
     (OBSERVATIONS + GOOD_ROW + "US,2013,1,3,1.5,0.47000362924573563\n",
      "line 3: country_count 1 is below 2"),
+    (OBSERVATIONS + GOOD_ROW.replace("2013", "2_013"), "line 2: year '2_013' is not an integer"),
+    (OBSERVATIONS + GOOD_ROW.replace(",1,", ",\u0661,"),
+     "line 2: publication_count '\u0661' is not an integer"),
+    (OBSERVATIONS + GOOD_ROW.replace("2013", ""), "line 2: year '' is not an integer"),
 ], ids=["nan", "inf", "missing-column", "country-count", "short-row", "negative", "log",
-        "year", "no-publications", "huge-publications", "one-country"])
+        "year", "no-publications", "huge-publications", "one-country", "year-underscore",
+        "arabic-indic-count", "empty-year"])
 def test_regress_rejects_a_bad_observation_csv_by_line(workdir, capsys, text, message):
     (workdir / "obs.csv").write_text(text)
     assert run("regress", "--input", "obs.csv", "--out", "report.txt") == 1
@@ -286,15 +296,37 @@ def observation_rows() -> list[list[str]]:
     return rows
 
 
+# mutations of one number cell into a form that int() or float() reads (all but "bool")
+# and the input rule rejects, so each must fail
+NUMBER_KINDS = ("underscore digits", "non-ASCII digit", "float for int", "bool")
+
+
+def mutate_number(draw, kind: str, text: str) -> str:
+    """`text`, a number as the program writes it, under one of NUMBER_KINDS."""
+    if kind == "underscore digits":  # 2013 -> 2_013, 1 -> 1_0
+        out = re.sub(r"([0-9])([0-9])", r"\1_\2", text, count=1)
+        return out if out != text else text + "_0"
+    if kind == "non-ASCII digit":  # an Arabic-Indic digit
+        return re.sub(r"[0-9]", lambda m: chr(0x660 + int(m[0])), text, count=1)
+    if kind == "float for int":
+        return text + draw(st.sampled_from([".0", ".5", "e0"]))
+    return draw(st.sampled_from(["true", "True", "false"]))
+
+
 @st.composite
 def mutated_observation_csv(draw):
     rows = observation_rows()
     kind = draw(st.sampled_from(["none", "truncation", "dropped column", "type swap", "BOM",
                                  "CRLF", "non-UTF-8 byte", "nan/inf", "huge integer",
-                                 "constant log_fwci"]))
+                                 "constant log_fwci", *NUMBER_KINDS, "empty year"]))
     i = draw(st.integers(1, len(rows) - 1))
     j = draw(st.integers(0, len(rows[0]) - 1))
-    if kind == "dropped column":
+    if kind in NUMBER_KINDS:  # year and the two counts are ints, the rest floats
+        j = draw(st.integers(1, 3 if kind == "float for int" else 5))
+        rows[i][j] = mutate_number(draw, kind, rows[i][j])
+    elif kind == "empty year":
+        rows[i][1] = ""
+    elif kind == "dropped column":
         rows = [row[:j] + row[j + 1:] for row in rows]
     elif kind == "type swap":
         rows[i][j] = draw(st.sampled_from(["abc", "1.5", "", "2e3", "-", "true", "DE-US"]))
@@ -356,6 +388,7 @@ def test_regress_on_a_mutated_observation_csv_exits_cleanly(tmp_path_factory, ca
             main(["regress", "--input", path, "--out", out, "--csv-out", csv_out])
         assert reports == [Path(out).read_bytes(), Path(csv_out).read_bytes()]
     assert (kind, code) not in [("none", 1), ("CRLF", 1), ("BOM", 1), ("constant log_fwci", 0)]
+    assert code == 1 or kind not in (*NUMBER_KINDS, "empty year"), kind
 
 
 # ------------------------------------------------- network and map reader fuzz
@@ -367,6 +400,9 @@ MAP_RECORDS = "".join(
                 "citations": i}) + "\n" for i, (journal, _) in enumerate(MAP_ROWS[1:]))
 # what `metrics` rejects in a network too small for a statistic, with no line to name
 STATS_ERRORS = ("degenerate network", "centralization undefined", "no paths")
+# what `trends` rejects in a series as a whole, naming the specialty and year if any
+SERIES_ERRORS = (r"(no series|mismatched year grids"
+                 r"|.* \d+: no (nodes|edges) in the final year)")
 # a line, an element by its 1-based index, the graph's year, a missing <graph>,
 # or where XML parsing stopped
 LOCATED = (r"(line \d+|<edge> \d+|<node> \d+|<data key=\"year\">|no <graph> element"
@@ -380,15 +416,24 @@ def network_rows() -> list[list[str]]:
 
 
 @st.composite
-def mutated_csv(draw, rows: list[list[str]]):
-    """(kind, bytes) of `rows` under one mutation."""
+def mutated_csv(draw, rows: list[list[str]], numbers: dict[int, type] | None = None,
+                year: int | None = None):
+    """(kind, bytes) of `rows` under one mutation; the number mutations go to the
+    columns `numbers` types, "empty year" to column `year`."""
     rows = [list(row) for row in rows]
     kind = draw(st.sampled_from(["none", "truncation", "dropped column", "type swap", "BOM",
                                  "CRLF", "non-UTF-8 byte", "nan/inf", "huge integer",
-                                 "header"]))
+                                 "header", *(NUMBER_KINDS if numbers else ()),
+                                 *(("empty year",) if year is not None else ())]))
     i = draw(st.integers(1, len(rows) - 1))
     j = draw(st.integers(0, len(rows[0]) - 1))
-    if kind == "dropped column":
+    if kind in NUMBER_KINDS:
+        j = draw(st.sampled_from([c for c, t in numbers.items()
+                                  if t is int or kind != "float for int"]))
+        rows[i][j] = mutate_number(draw, kind, rows[i][j])
+    elif kind == "empty year":
+        rows[i][year] = ""
+    elif kind == "dropped column":
         rows = [row[:j] + row[j + 1:] for row in rows]
     elif kind == "type swap":
         rows[i][j] = draw(st.sampled_from(["abc", "1.5", "", "2e3", "-", "true", "US"]))
@@ -408,10 +453,17 @@ def mutated_graphml(draw):
     lines = export_graphml(network_of_size(6, 9, "Virology", 2013)).splitlines()
     kind = draw(st.sampled_from(["none", "truncation", "dropped column", "type swap", "BOM",
                                  "CRLF", "non-UTF-8 byte", "nan/inf", "huge integer",
-                                 "malformed XML"]))
+                                 "malformed XML", *NUMBER_KINDS, "empty year"]))
     i = draw(st.integers(0, len(lines) - 1))
     values = [m for m in re.finditer(r'(?<==")[^"]*|(?<=>)[^<]+', lines[i])]
-    if kind == "dropped column":  # an attribute or a <data> element
+    if kind in NUMBER_KINDS:  # the year and the counts are ints, the cosines floats
+        keys = "year|copub_count" + ("" if kind == "float for int" else "|cosine")
+        i = draw(st.sampled_from([n for n, line in enumerate(lines)
+                                  if re.search(f'<data key="({keys})">', line)]))
+        lines[i] = re.sub(r"(?<=>)[^<]+", lambda m: mutate_number(draw, kind, m[0]), lines[i])
+    elif kind == "empty year":
+        lines = [re.sub(r'(<data key="year">)[^<]*', r"\1", line) for line in lines]
+    elif kind == "dropped column":  # an attribute or a <data> element
         lines[i] = re.sub(draw(st.sampled_from([r' \w+="[^"]*"', r"<data .*?</data>"])), "",
                           lines[i], count=1)
     elif kind in ("type swap", "nan/inf", "huge integer") and values:
@@ -436,8 +488,8 @@ def run_quietly(argv: list[str]) -> tuple[int, str]:
 def check_mutated_input(where: Path, name: str, kind: str, data: bytes, argv: list[str],
                         clean: bytes, same_as_clean: tuple[str, ...]) -> None:
     """Run `argv` on `data` written to `where/name`: it exits 0, or 1 with a
-    message naming the file and a place in it; the kinds in `same_as_clean`
-    exit 0 with the output of the unmutated file."""
+    message naming the file and a place in it (or, for `trends`, a series); the
+    kinds in `same_as_clean` exit 0 with the output of the unmutated file."""
     path, out = str(where / name), str(where / "out")
     outputs = []
     for text in (clean, data):
@@ -447,19 +499,26 @@ def check_mutated_input(where: Path, name: str, kind: str, data: bytes, argv: li
     assert code in (0, 1), (kind, err)
     if code == 1:
         message = err.split(": error: ", 1)[1]
-        assert message.startswith(f"{path}: "), (kind, message)
-        place = message.removeprefix(f"{path}: ")
-        assert re.match(LOCATED, place) or argv[0] == "stats" and place.startswith(STATS_ERRORS), \
-            (kind, message)
+        if argv[0] == "trends" and re.match(SERIES_ERRORS, message):
+            pass
+        else:
+            assert message.startswith(f"{path}: "), (kind, message)
+            place = message.removeprefix(f"{path}: ")
+            assert (re.match(LOCATED, place)
+                    or argv[0] == "stats" and place.startswith(STATS_ERRORS)), (kind, message)
     elif argv[0] == "stats":
         assert all(math.isfinite(v) for row in read_stats_csv(out) for col, v in row.items()
                    if col != "specialty" and v is not None), kind
+    elif argv[0] == "trends":  # every cell but the specialty label is a finite number
+        rows = list(csv.reader(io.StringIO(Path(out).read_text())))[1:]
+        assert rows and all(math.isfinite(float(c)) for row in rows for c in row[1:] if c), kind
     if kind in same_as_clean:
         assert outputs[1] == outputs[0] is not None, (kind, err)
+    assert code == 1 or kind not in (*NUMBER_KINDS, "empty year"), kind
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(["stats", "export"]), mutated_csv(network_rows()))
+@given(st.sampled_from(["stats", "export"]), mutated_csv(network_rows(), {2: int, 3: float}))
 def test_a_mutated_edge_list_exits_cleanly(tmp_path_factory, command, case):
     kind, data = case
     check_mutated_input(tmp_path_factory.mktemp("fuzz"), "net.csv", kind, data,
@@ -488,6 +547,224 @@ def test_a_mutated_specialty_map_exits_cleanly(tmp_path_factory, case):
                         ["ingest", "--input", str(where / "raw.jsonl"), "--map"],
                         "".join(",".join(row) + "\n" for row in MAP_ROWS).encode(),
                         ("none", "BOM", "CRLF", "header"))
+
+
+def stats_rows() -> list[list[str]]:
+    """The header and rows of a stats CSV as `stats` writes it: two specialties in
+    two years, every cell but `alpha` filled."""
+    from collabnet import metrics
+
+    sizes = [("A", 2008, 5, 6), ("A", 2013, 8, 14), ("B", 2008, 6, 7), ("B", 2013, 9, 16)]
+    text = metrics.stats_csv_text(metrics.compute_stats(network_of_size(n, m, spec, year))
+                                  for spec, year, n, m in sizes)
+    return [line.split(",") for line in text.splitlines()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_csv(stats_rows(), {1: int, 2: int, 3: int, 4: int, 5: float, 6: float,
+                                  7: float, 8: float, 9: float, 10: int}, year=1))
+def test_trends_on_a_mutated_stats_csv_exits_cleanly(tmp_path_factory, case):
+    kind, data = case
+    check_mutated_input(tmp_path_factory.mktemp("fuzz"), "stats.csv", kind, data,
+                        ["trends", "--input"],
+                        "".join(",".join(row) + "\n" for row in stats_rows()).encode(),
+                        ("none", "BOM", "CRLF"))
+
+
+CORPUS_RECORDS = [
+    {"id": f"p{i}", "year": (2008, 2013)[i % 2], "journal": "Journal of Virology",
+     "specialty": "Virology", "field": "Virology", "doctype": "article",
+     "countries": countries, "citations": 3 * i}
+    for i, countries in enumerate([["DE", "US"], ["FR", "US"], ["DE", "FR", "US"], ["GB", "US"],
+                                   ["CN", "JP"], ["DE", "GB"], ["JP", "US"], ["US"]])]
+# a JSON value of another type, or a number in a form JSON or the record rules reject
+SWAPS = st.sampled_from(["abc", 1.5, "", None, True, [1], {}, "2013", -1, 0])
+
+
+def canonical(obj) -> str:
+    """`obj` as `Corpus.save` writes a record: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def corpus_bytes() -> bytes:
+    return "".join(canonical(rec) + "\n" for rec in CORPUS_RECORDS).encode()
+
+
+def json_with(obj: dict, path: tuple, text: str) -> str:
+    """`obj` as canonical JSON, with `text` written as the raw value at `path`."""
+    obj = json.loads(json.dumps(obj))
+    *parents, last = path
+    node = obj
+    for key in parents:
+        node = node[key]
+    node[last] = "\x00PLACEHOLDER\x00"
+    return canonical(obj).replace('"\\u0000PLACEHOLDER\\u0000"', text)
+
+
+def mutate_json_value(draw, kind: str, value) -> str:
+    """The raw JSON text of `value`, a number, under a number mutation: a JSON float
+    or bool, a huge integer, or a string holding a form `int()` reads."""
+    if kind == "float for int":
+        return json.dumps(float(value) + draw(st.sampled_from([0.0, 0.5])))
+    if kind == "bool":
+        return draw(st.sampled_from(["true", "false"]))
+    if kind == "huge integer":
+        return draw(st.sampled_from(["", "-"])) + "1" + "0" * draw(st.integers(15, 5000))
+    return json.dumps(mutate_number(draw, kind, json.dumps(value)))
+
+
+@st.composite
+def mutated_corpus(draw):
+    """(kind, bytes) of the records of CORPUS_RECORDS, one per line, under one mutation."""
+    kind = draw(st.sampled_from(["none", "truncation", "BOM", "CRLF", "non-UTF-8 byte",
+                                 "dropped key", "type swap", "huge integer", "nan/inf",
+                                 *NUMBER_KINDS]))
+    lines = corpus_bytes().decode().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    key = draw(st.sampled_from(sorted(CORPUS_RECORDS[i])))
+    if kind == "dropped key":
+        lines[i] = canonical({k: v for k, v in CORPUS_RECORDS[i].items() if k != key})
+    elif kind == "type swap":
+        lines[i] = json_with(CORPUS_RECORDS[i], (key,), json.dumps(draw(SWAPS)))
+    elif kind == "nan/inf":
+        lines[i] = json_with(CORPUS_RECORDS[i], (key,),
+                             draw(st.sampled_from(["NaN", "Infinity", "-Infinity"])))
+    elif kind == "huge integer":  # a year out of range, or a count past the digit limit
+        key = draw(st.sampled_from(["year", "citations"]))
+        digits = draw(st.integers(15 if key == "year" else 4301, 5000))
+        lines[i] = json_with(CORPUS_RECORDS[i], (key,), "1" + "0" * digits)
+    elif kind in NUMBER_KINDS:
+        key = draw(st.sampled_from(["year", "citations"]))
+        lines[i] = json_with(CORPUS_RECORDS[i], (key,),
+                             mutate_json_value(draw, kind, CORPUS_RECORDS[i][key]))
+    return kind, mutate_bytes(draw, kind, "".join(line + "\n" for line in lines).encode())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_corpus())
+def test_ingest_on_a_mutated_corpus_accounts_for_every_line(tmp_path_factory, case):
+    kind, data = case
+    where = tmp_path_factory.mktemp("fuzz")
+    (where / "map.csv").write_text("".join(",".join(row) + "\n" for row in MAP_ROWS))
+    path, out = str(where / "raw.jsonl"), str(where / "corpus.jsonl")
+    Path(path).write_bytes(data)
+    code, err = run_quietly(["ingest", "--input", path, "--map", str(where / "map.csv"),
+                             "--out", out])
+    assert code == 0, (kind, err)
+    accepted = Path(out).read_text().splitlines()
+    rejected = Path(f"{out}.rejections.csv").read_text().splitlines()[1:]
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        assert len(accepted) + len(rejected) == sum(1 for line in fh if line.strip()), kind
+    assert not re.search(r"NaN|Infinity", "".join(accepted)), kind
+    if kind in ("none", "BOM", "CRLF"):
+        assert not rejected and len(accepted) == len(CORPUS_RECORDS), (kind, rejected)
+    if kind in ("huge integer", "nan/inf", *NUMBER_KINDS):  # no record read other than it was
+        assert set(accepted) <= set(corpus_bytes().decode().splitlines()), (kind, accepted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_corpus())
+def test_build_on_a_mutated_corpus_exits_cleanly(tmp_path_factory, case):
+    kind, data = case
+    where = tmp_path_factory.mktemp("fuzz")
+    path, out = str(where / "corpus.jsonl"), str(where / "net.csv")
+    outputs = []
+    for text in (corpus_bytes(), data):
+        Path(path).write_bytes(text)
+        code, err = run_quietly(["build", "--input", path, "--specialty", "Virology",
+                                 "--year", "2013", "--out", out])
+        outputs.append(Path(out).read_bytes() if code == 0 else None)
+    assert code in (0, 1), (kind, err)
+    if code == 1:  # a line of the file, or a slice left with no record
+        message = err.split(": error: ", 1)[1]
+        assert re.match(rf"{re.escape(path)}:\d+: ", message) or message == "empty slice\n", \
+            (kind, message)
+    else:
+        for row in list(csv.reader(io.StringIO(Path(out).read_text())))[1:]:
+            assert int(row[2]) >= 1 and math.isfinite(float(row[3])), (kind, row)
+    if kind in ("none", "BOM", "CRLF"):
+        assert outputs[1] == outputs[0] is not None, (kind, err)
+    assert code == 1 or kind not in ("huge integer", "nan/inf", *NUMBER_KINDS), kind
+
+
+GEN_FUZZ_CONFIG = {
+    "n_countries": 12, "n_papers": 40, "years": [2008, 2013], "attachment_strength": 0.5,
+    "countries_per_paper": {"1": 0.4, "2": 0.4, "3": 0.2},
+    "citation_model": {"dispersion": 1.5, "means": [
+        {"field": f, "year": y, "doctype": "article", "mean": 3.0}
+        for f in ("Virology", "Seismology") for y in (2008, 2013)]}}
+# keys and indices down to every value of GEN_FUZZ_CONFIG, and those of its numbers
+CONFIG_PATHS = [("n_countries",), ("n_papers",), ("years",), ("years", 0), ("years", 1),
+                ("attachment_strength",), ("countries_per_paper",),
+                *(("countries_per_paper", k) for k in ("1", "2", "3")),
+                ("citation_model",), ("citation_model", "dispersion"),
+                ("citation_model", "means"), ("citation_model", "means", 0),
+                *(("citation_model", "means", i, k) for i in range(4)
+                  for k in ("field", "year", "doctype", "mean"))]
+INT_PATHS = [p for p in CONFIG_PATHS if p[-1] in ("n_countries", "n_papers", "year")
+             or p[0] == "years" and len(p) == 2]
+NUMBER_PATHS = INT_PATHS + [p for p in CONFIG_PATHS if p[-1] in ("attachment_strength", "1",
+                                                                 "2", "3", "dispersion", "mean")]
+# what `syngen.generate` rejects while drawing, after the config passed validation
+GEN_ERRORS = (r"(attachment_strength \S+ overflows the country weights at paper \d+"
+              r"|n too large or p too small)")
+# after the file: a key of the config, or where JSON decoding stopped
+CONFIG_PLACES = (r"((n_countries|n_papers|years|attachment_strength|countries_per_paper"
+                 r"|citation_model|citation (dispersion|means|model))\b"
+                 r"|(missing|unknown) key '|.*(line \d+ column \d+|position \d+))")
+
+
+@st.composite
+def mutated_gen_config(draw):
+    """(kind, bytes) of GEN_FUZZ_CONFIG under one mutation."""
+    kind = draw(st.sampled_from(["none", "truncation", "BOM", "CRLF", "non-UTF-8 byte",
+                                 "dropped key", "type swap", "huge integer", *NUMBER_KINDS]))
+    text = json.dumps(GEN_FUZZ_CONFIG, indent=1)
+    if kind == "dropped key":
+        path = draw(st.sampled_from([p for p in CONFIG_PATHS if isinstance(p[-1], str)]))
+        obj = json.loads(text)
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        text = json.dumps(obj, indent=1)
+    elif kind == "type swap":
+        text = json_with(GEN_FUZZ_CONFIG, draw(st.sampled_from(CONFIG_PATHS)),
+                         json.dumps(draw(SWAPS)))
+    elif kind == "huge integer":  # but in n_papers, which asks for that many records
+        path = draw(st.sampled_from([p for p in NUMBER_PATHS if p != ("n_papers",)]))
+        text = json_with(GEN_FUZZ_CONFIG, path, mutate_json_value(draw, kind, None))
+    elif kind in NUMBER_KINDS:
+        path = draw(st.sampled_from(INT_PATHS if kind == "float for int" else NUMBER_PATHS))
+        value = GEN_FUZZ_CONFIG
+        for key in path:
+            value = value[key]
+        text = json_with(GEN_FUZZ_CONFIG, path, mutate_json_value(draw, kind, value))
+    return kind, mutate_bytes(draw, kind, text.encode())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_gen_config())
+def test_gen_on_a_mutated_config_exits_cleanly(tmp_path_factory, case):
+    kind, data = case
+    where = tmp_path_factory.mktemp("fuzz")
+    path, out = str(where / "cfg.json"), str(where / "raw.jsonl")
+    outputs = []
+    for text in (json.dumps(GEN_FUZZ_CONFIG).encode(), data):
+        Path(path).write_bytes(text)
+        code, err = run_quietly(["gen", "--seed", "1", "--config", path, "--out", out])
+        outputs.append(Path(out).read_bytes() if code == 0 else None)
+    assert code in (0, 1), (kind, err)
+    if code == 1:
+        message = err.split(": error: ", 1)[1]
+        if not re.match(GEN_ERRORS, message):
+            assert message.startswith(f"{path}: "), (kind, message)
+            assert re.match(CONFIG_PLACES, message.removeprefix(f"{path}: ")), (kind, message)
+    else:
+        assert not re.search(r"NaN|Infinity", Path(out).read_text()), kind
+    if kind in ("none", "BOM", "CRLF"):
+        assert outputs[1] == outputs[0] is not None, (kind, err)
+    assert code == 1 or kind not in NUMBER_KINDS, kind
 
 
 @pytest.mark.parametrize("argv,text", [
@@ -545,7 +822,7 @@ def test_trends_names_the_line_and_column_of_a_bad_cell(workdir, capsys):
         "Soil Science,1990,40,66,5\n"
         "Soil Science,2000,1.5,247,5\n")
     assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
-    assert ("error: sizes.csv: line 3: column nodes: invalid literal for int() with base 10: '1.5'"
+    assert ("error: sizes.csv: line 3: column nodes '1.5' is not an integer"
             in capsys.readouterr().err)
     assert not (workdir / "trends.csv").exists()
 
@@ -585,6 +862,35 @@ def test_trends_names_the_line_of_a_missing_size_column(workdir, capsys):
     assert "error: sizes.csv: line 2: column edges: missing" in capsys.readouterr().err
 
 
+def test_trends_names_the_line_of_a_missing_specialty_column(workdir, capsys):
+    (workdir / "sizes.csv").write_text("year,nodes,edges\n2008,3,2\n2013,4,5\n")
+    assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
+    assert "error: sizes.csv: line 2: column specialty: missing" in capsys.readouterr().err
+    assert not (workdir / "trends.csv").exists()
+    # a blank label is an unlabeled network, as `stats` writes one
+    (workdir / "sizes.csv").write_text("specialty,year,nodes,edges\n,2008,3,2\n,2013,4,5\n")
+    assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 0
+    assert (workdir / "trends.csv").read_text().splitlines()[1].startswith(",2008,3,2,")
+
+
+@pytest.mark.parametrize("row,message", [
+    ("A,2_008,3,2,", "column year '2_008' is not an integer"),
+    ("A,\u0662\u0660\u0660\u0668,3,2,",
+     "column year '\u0662\u0660\u0660\u0668' is not an integer"),
+    ("A,2008.0,3,2,", "column year '2008.0' is not an integer"),
+    ("A,true,3,2,", "column year 'true' is not an integer"),
+    # a count a float cannot hold, whose share overflowed (exit 2), and a negative one
+    ("A,2008,1" + "0" * 400 + ",2,", "column nodes 1" + "0" * 400 + " is outside 0-2**53"),
+    ("A,2008,3,-2,", "column edges -2 is outside 0-2**53"),
+], ids=["underscore", "arabic-indic", "float", "bool", "huge", "negative"])
+def test_trends_reads_numbers_by_the_input_rule(workdir, capsys, row, message):
+    (workdir / "sizes.csv").write_text(
+        f"specialty,year,nodes,edges,alpha\n{row}\nA,2013,4,5,1e+16\n")
+    assert run("trends", "--input", "sizes.csv", "--out", "trends.csv") == 1
+    assert f"error: sizes.csv: line 2: {message}\n" in capsys.readouterr().err
+    assert not (workdir / "trends.csv").exists()
+
+
 def test_ingest_names_the_line_of_a_one_column_map_row(workdir, capsys):
     (workdir / "map.csv").write_text("journal,specialty\nJ1\n")
     (workdir / "raw.jsonl").write_text(
@@ -620,17 +926,17 @@ GEN_CONFIG = {
      "citation_model: list indices must be integers or slices, not str"),
     (json.dumps({**GEN_CONFIG, "years": 2013}), "years: 'int' object is not iterable"),
     (json.dumps({**GEN_CONFIG, "n_papers": "many"}),
-     "n_papers: invalid literal for int() with base 10: 'many'"),
+     "n_papers: value 'many' is not an integer"),
     (json.dumps({**GEN_CONFIG, "countries_per_paper": [1, 2]}),
      "countries_per_paper: 'list' object has no attribute 'items'"),
     (json.dumps({**GEN_CONFIG, "n_papers": math.inf}),
-     "n_papers: cannot convert float infinity to integer"),
+     "n_papers: value inf is not an integer"),
     (json.dumps({**GEN_CONFIG, "n_countries": 1}), "n_countries must be >= 2"),
     (json.dumps({**GEN_CONFIG, "seed": 5}), "seed: not a config key; pass --seed"),
     (json.dumps({**GEN_CONFIG, "attachment_strength": math.nan}),
-     "attachment_strength must be finite and >= 0"),
+     "attachment_strength: value nan is not a number"),
     (json.dumps({**GEN_CONFIG, "countries_per_paper": {"1": math.nan, "2": 1.0}}),
-     "countries_per_paper probabilities must be >= 0"),
+     "countries_per_paper: ['1'] nan is not a number"),
     (json.dumps({**GEN_CONFIG, "n_paper": 10}), "unknown key 'n_paper'"),
     (json.dumps({**GEN_CONFIG, "citation_model": {**GEN_CONFIG["citation_model"],
                                                   "dispersoin": 9.0}}),
@@ -639,14 +945,64 @@ GEN_CONFIG = {
         *GEN_CONFIG["citation_model"]["means"],
         {"field": "Virology", "year": 2013, "doctype": "article", "mean": 2.0, "sd": 1.0}]}}),
      "citation_model: means[1]: unknown key 'sd'"),
+    (json.dumps({**GEN_CONFIG, "n_papers": 2.5}), "n_papers: value 2.5 is not an integer"),
+    (json.dumps({**GEN_CONFIG, "n_papers": True}), "n_papers: value True is not an integer"),
+    (json.dumps({**GEN_CONFIG, "years": [2008.9, 2013.2]}),
+     "years: [0] 2008.9 is not an integer"),
+    (json.dumps({**GEN_CONFIG, "attachment_strength": True}),
+     "attachment_strength: value True is not a number"),
+    (json.dumps({**GEN_CONFIG, "countries_per_paper": {"1_0": 0.5, "2": 0.5}}),
+     "countries_per_paper: size '1_0' is not an integer"),
+    (json.dumps({**GEN_CONFIG, "citation_model": {"means": [
+        {"field": "Virology", "year": "2_013", "doctype": "article", "mean": 2.0}]}}),
+     "citation_model: means[0]: year '2_013' is not an integer"),
+    (json.dumps({**GEN_CONFIG, "citation_model": {**GEN_CONFIG["citation_model"],
+                                                  "dispersion": False}}),
+     "citation_model: dispersion False is not a number"),
+    (json.dumps(GEN_CONFIG).replace('"n_countries": 20', '"n_countries": 2' + "0" * 5000),
+     "n_countries: value inf is not an integer"),
+    (json.dumps({**GEN_CONFIG, "citation_model": {"means": [
+        {"field": 1.5, "year": 2013, "doctype": "article", "mean": 2.0}]}}),
+     "citation_model: means[0]: field and doctype must be text"),
 ], ids=["bad-json", "not-an-object", "model-type", "years-type", "count-type",
         "sizes-type", "count-inf", "invalid", "seed-key", "strength-nan", "probability-nan",
-        "unknown-key", "unknown-model-key", "unknown-mean-key"])
+        "unknown-key", "unknown-model-key", "unknown-mean-key", "count-float", "count-bool",
+        "years-float", "strength-bool", "size-underscore", "mean-year-underscore",
+        "dispersion-bool", "count-past-digit-limit", "field-type"])
 def test_gen_config_fault_exits_one_naming_the_file(workdir, capsys, text, message):
     (workdir / "cfg.json").write_text(text)
     assert run("gen", "--seed", "1", "--config", "cfg.json", "--out", "raw.jsonl") == 1
     assert f"collabnet gen: error: cfg.json: {message}\n" in capsys.readouterr().err
     assert not (workdir / "raw.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag", [["--n-papers", "7"], ["--n-countries", "20"],
+                                  ["--years", "2013"], ["--attachment-strength", "0.5"]])
+def test_gen_rejects_a_generator_flag_beside_a_config(workdir, capsys, flag):
+    (workdir / "cfg.json").write_text(json.dumps(GEN_CONFIG))
+    assert run("gen", "--seed", "1", "--config", "cfg.json", *flag, "--out", "raw.jsonl") == 1
+    assert capsys.readouterr().err == (f"collabnet gen: error: cfg.json: {flag[0]} cannot be "
+                                       "combined with --config\n")
+    assert not (workdir / "raw.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv,config_hash", [
+    (["--seed", "1", "--n-papers", "50", "--out", "a.jsonl"],
+     "058497549fa477927b98683c0437f3f5250f17276ad47de5ffc56efd1887eda9"),
+    (["--seed", "42", "--out", "b.jsonl", "--n-papers", "600", "--truth-out", "truth.csv",
+      "--map-out", "map.csv", "--years", "2008,2013", "--n-countries", "60",
+      "--attachment-strength", "0.8"],
+     "b986df003ff866b2e67299c0a784326c44250c7fab3b8361896c1bb338bcac6c"),
+    (["--seed", "1", "--config", "cfg.json", "--out", "c.jsonl", "--map-out", "map2.csv"],
+     "4b28486202ef91264fbfde556ab4a4f8a46799d45d38777a2438e20ed8e55cfa"),
+], ids=["defaults", "every-flag", "config"])
+def test_gen_manifest_config_hash_is_unchanged(workdir, argv, config_hash):
+    # the hashes of these command lines before the flags' defaults moved into `cmd_gen`
+    (workdir / "cfg.json").write_text(json.dumps(GEN_CONFIG))
+    assert run("gen", *argv) == 0
+    out = argv[argv.index("--out") + 1]
+    manifest = json.loads((workdir / f"{out}.manifest.json").read_text())
+    assert manifest["config_hash"] == config_hash
 
 
 def test_gen_overflowing_attachment_strength_exits_one_naming_the_paper(workdir, capsys):

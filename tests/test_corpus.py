@@ -90,6 +90,10 @@ def test_malformed_line_rejected_not_fatal(bundled_map):
     ({"citations": -1}, "negative citations: -1"),
     ({"citations": 2.5}, "invalid citations"),
     ({"id": ""}, "missing id"),
+    # a text field that is not text, which str() would have turned into some
+    ({"doctype": float("nan")}, "invalid doctype"),
+    ({"journal": ["Journal of Virology"]}, "invalid journal"),
+    ({"field": True}, "invalid field"),
 ])
 def test_validation_reasons(bundled_map, overrides, reason):
     corp = ingest([make_line(**overrides)], bundled_map)
@@ -476,6 +480,7 @@ def test_loads_follow_id_order_with_a_duplicate_id(tmp_path):
     (make_line(id="x", year=1875, journal="J", field="F"), "year out of range: 1875"),
     ("[1,2]", "malformed record: not an object"),
     ("{oops", "Expecting property name enclosed in double quotes"),
+    (make_line(id="x", specialty=1.5), "invalid specialty"),  # as stored, not resolved
 ])
 def test_slice_load_validates_lines_outside_the_slice(tmp_path, bad, message):
     path = tmp_path / "corpus.jsonl"

@@ -191,6 +191,48 @@ def test_statsmodels_ml_cross_check():
     assert m.scale == pytest.approx(f.sigma2, rel=2e-2)
 
 
+def test_fitted_optimum_matches_a_grid_maximized_woodbury_likelihood():
+    # An independent ML fit, run where statsmodels is not installed: for each group g,
+    # V_g = sigma2 (I + psi 1 1') has V_g^-1 = (I - c_g 1 1') / sigma2 with
+    # c_g = psi / (1 + psi n_g) (Woodbury) and det V_g = sigma2^n_g (1 + psi n_g), so
+    # the GLS fit and the profiled log-likelihood at psi need only group sums, here in
+    # the raw basis and with residuals, and psi is the best point of nested grids.
+    y, X, groups, _ = simulate(seed=7, n_groups=500)
+    f = fit_random_intercept(y, X, groups, names=NAMES)
+    codes = np.unique(groups, return_inverse=True)[1]
+    sizes = np.bincount(codes).astype(float)
+    Sx = np.zeros((len(sizes), X.shape[1]))
+    np.add.at(Sx, codes, X)
+    Sy = np.bincount(codes, weights=y)
+    n = len(y)
+
+    def fit_at(psi: float):
+        c = psi / (1.0 + psi * sizes)
+        A = X.T @ X - (Sx * c[:, None]).T @ Sx  # X' V^-1 X, times sigma2
+        beta = np.linalg.solve(A, X.T @ y - (Sx * c[:, None]).T @ Sy)
+        e = y - X @ beta
+        sigma2 = (e @ e - c @ np.bincount(codes, weights=e) ** 2) / n
+        loglik = -0.5 * (n * math.log(2 * math.pi * sigma2) + np.log1p(psi * sizes).sum() + n)
+        return loglik, beta, sigma2, A
+
+    grid = np.linspace(0.0, 5.0, 501)
+    for _ in range(3):  # each grid 1000 times finer, around the best point of the last
+        best = grid[int(np.argmax([fit_at(psi)[0] for psi in grid]))]
+        step = grid[1] - grid[0]
+        grid = np.linspace(max(best - step, 0.0), best + step, 2001)
+    psi = grid[int(np.argmax([fit_at(g)[0] for g in grid]))]
+    loglik, beta, sigma2, A = fit_at(psi)
+    # within ~1e-7 of the optimum the log-likelihood changes by less than its rounding
+    # error (~1e-12 relative), so the grid fixes psi only to about that
+    assert 0.3 < psi < 0.7  # sigma_u2 / sigma2 = 0.5 in the simulation
+    assert f.loglik >= loglik - 1e-9
+    assert f.sigma_u2 / f.sigma2 == pytest.approx(psi, rel=1e-6)
+    assert np.allclose(f.beta, beta, rtol=1e-7, atol=0)
+    assert np.allclose(f.se, np.sqrt(np.diag(sigma2 * np.linalg.inv(A))), rtol=1e-7, atol=0)
+    assert f.sigma2 == pytest.approx(sigma2, rel=1e-7)
+    assert f.sigma_u2 == pytest.approx(psi * sigma2, rel=1e-6)
+
+
 def test_all_singleton_groups_unidentifiable_warns():
     rng = np.random.default_rng(5)
     n = 40

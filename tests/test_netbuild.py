@@ -134,11 +134,23 @@ def test_cosine_zero_strength_is_internal_error():
     ({("AR", "BR"): Edge(1, math.nan)}, "edge 'AR'-'BR': cosine nan is not a number"),
     ({("AR", "BR"): Edge(1, math.inf)}, "edge 'AR'-'BR': cosine inf is not a number"),
     ({("", "AR"): Edge(1)}, "edge ''-'AR': missing endpoint (source '', target 'AR')"),
+    # a number that int() or float() would coerce, as the input rule reads it
+    ({("AR", "BR"): Edge(1.5)}, "edge 'AR'-'BR': copub_count 1.5 is not an integer"),
+    ({("AR", "BR"): Edge(True, "0.5")}, "edge 'AR'-'BR': copub_count True is not an integer"),
+    ({("AR", "BR"): Edge(1, False)}, "edge 'AR'-'BR': cosine False is not a number"),
+    ({("AR", "BR"): Edge("1_0")}, "edge 'AR'-'BR': copub_count '1_0' is not an integer"),
 ])
 def test_keyed_constructor_rejects_a_self_loop_a_repeated_pair_or_an_unknown_node(edges, message):
     with pytest.raises(ValueError) as exc:
         CollabNetwork.from_edges("", 0, ("AR", "BR"), edges, {"AR": 1, "BR": 1})
     assert str(exc.value) == message
+
+
+def test_keyed_constructor_reads_numpy_and_text_numbers_as_plain_ones():
+    net = CollabNetwork.from_edges("", 0, ("AR", "BR", "CL"), {
+        ("AR", "BR"): Edge(np.int64(2), np.float64(0.5)), ("BR", "CL"): Edge(" 3 ", "1e-2")}, {})
+    assert net.edges == {("AR", "BR"): (2, 0.5), ("BR", "CL"): (3, 0.01)}
+    assert [type(v) for v in (*net.count, *net.cosine)] == [int, int, float, float]
 
 
 @pytest.mark.parametrize("nodes", [("", "AR", "BR"), ("AR", None, "BR")])
@@ -299,6 +311,12 @@ def test_network_of_size_has_exact_counts():
     ("US,\nDE,FR\nFR,GB\n", "line 1: missing endpoint"),
     ("US,DE,1,abc\n", "line 1: cosine 'abc' is not a number"),
     ("US,DE,1,0.5\nDE,FR,1,nan\n", "line 2: cosine 'nan' is not a number"),
+    # number forms that int() and float() read, but the input rule does not
+    ("US,DE,1_000\n", "line 1: copub_count '1_000' is not an integer"),
+    ("US,DE,\u0663\n", "line 1: copub_count '\u0663' is not an integer"),
+    ("US,DE,2.0\n", "line 1: copub_count '2.0' is not an integer"),
+    ("US,DE,1,\u0660.5\n", "line 1: cosine '\u0660.5' is not a number"),
+    ("US,DE,1,Infinity\n", "line 1: cosine 'Infinity' is not a number"),
 ])
 def test_edgelist_rejects_non_simple_graphs(text, message):
     with pytest.raises(ValueError, match=message):
@@ -453,12 +471,12 @@ def test_readers_invert_exports(net, header):
     assert back.node_strength == {v: s for v, s in net.node_strength.items() if v in linked}
 
 
-@pytest.mark.parametrize("year", ["20x3", "2013.0", "-"])
+@pytest.mark.parametrize("year", ["20x3", "2013.0", "-", "2_013", "\u0662\u0660\u0661\u0663", ""])
 def test_graphml_year_must_be_an_integer(year):
     text = graphml_text(['<node id="DE"/>', '<node id="US"/>'],
                         ['<edge source="US" target="DE"/>'])
-    text = text.replace('edgedefault="undirected">',
-                        f'edgedefault="undirected"><data key="year">{year}</data>')
+    element = f'<data key="year">{year}</data>'
+    text = text.replace('edgedefault="undirected">', f'edgedefault="undirected">{element}')
     with pytest.raises(ValueError, match=f"""<data key="year">: year '{year}' is not an integer"""):
         read_graphml(text)
-    assert read_graphml(text.replace(year, " 2013 ")).year == 2013
+    assert read_graphml(text.replace(element, '<data key="year"> 2013 </data>')).year == 2013
